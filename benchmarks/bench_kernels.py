@@ -1,58 +1,71 @@
-"""Benchmark the vectorized NumPy kernels against the reference sweeps.
+"""Benchmark the production NumPy kernels against the python oracle.
 
-Four legs, written into the ``"kernels"`` section of the shared
-``BENCH_engine.json`` report (sibling sections are preserved — see
-``bench_engine.py``, which extends the same file):
+Every solve runs the NumPy kernels of :mod:`repro.core.kernels`; the
+pure-python sweeps they replaced are the oracle in
+:mod:`repro.verify.reference`.  Three legs, written into the
+``"kernels"`` section of the shared ``BENCH_engine.json`` report
+(sibling sections are preserved — see ``bench_engine.py``, which
+extends the same file), with a ``provenance`` block (quick/full,
+commit, interpreter, NumPy version, CPU count):
 
 ``single_solve``
-    Matched python-vs-numpy single-solve p50 per numeric mode
+    Matched oracle-vs-production single-solve p50 per numeric mode
     (``log``/``scaled``/``float``/``mva``) over the ROADMAP reference
-    sweep sizes, plus the *headline* ratio: the old default path
-    (``convolution/log``, python) against the fastest vectorized path
-    (``convolution/scaled``, numpy).  The full run asserts the
+    sweep sizes (``python_p50_ms`` is the oracle, ``numpy_p50_ms`` the
+    production kernel), plus the *headline* ratio: the pre-1.5 default
+    path (``convolution/log`` on the python sweeps) against the fastest
+    production path (``convolution/scaled``).  The full run asserts the
     headline speedup stays >= 10x.
 
 ``equivalence``
     The differential-fuzzer campaign from the acceptance criteria:
     >= 2000 seeded sampled configs per numeric mode through
-    ``repro.verify.run_differential`` on the (classic, numpy) method
-    pair, asserting **zero** disagreements.  ``--quick`` runs a
-    bounded smoke of the same campaign.
+    ``repro.verify.run_differential`` on the (production,
+    ``reference/<method>`` oracle) pair, asserting **zero**
+    disagreements.  ``--quick`` runs a bounded smoke of the same
+    campaign.
 
 ``service``
     Cold (cache-missing) ``/solve`` calls over a persistent HTTP
-    connection with ``method=convolution-scaled-numpy``, p50 per
-    request — both the client round trip and the daemon's own
-    ``elapsed_ms``.  The full run asserts the service-side p50 stays
-    under 1 ms (the pure-python kernel is measured alongside for
-    contrast; it does not fit under that line).
+    connection with ``method=convolution-scaled``, p50 per request —
+    both the client round trip and the daemon's own ``elapsed_ms``.
+    The full run asserts the service-side p50 stays under 1 ms.
 
 ``--check-baseline``
-    CI regression guard: compare the freshly measured numpy
+    CI regression guard: compare the freshly measured production
     single-solve p50s against the committed ``kernels`` section and
     fail (exit 1) if any cell regressed by more than 2x.  Timing
     cells absent from the baseline are reported but never fail.
 
 Run ``python benchmarks/bench_kernels.py --quick`` for the CI-sized
-variant; the committed numbers come from the full run.
+variant; the committed numbers come from the full run.  End-to-end
+serving numbers (what a daemon's clients see) come from
+``benchmarks/layers/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from repro.core.convolution import solve_convolution  # noqa: E402
-from repro.core.mva import solve_mva  # noqa: E402
+from repro.core import convolution, mva  # noqa: E402
 from repro.core.state import SwitchDimensions  # noqa: E402
 from repro.core.traffic import TrafficClass  # noqa: E402
-from repro.verify.differential import run_differential  # noqa: E402
+from repro.verify import reference  # noqa: E402
+from repro.verify.differential import (  # noqa: E402
+    REFERENCE_PREFIX,
+    run_differential,
+)
 from repro.verify.generators import ConfigSampler  # noqa: E402
 
 #: The ROADMAP reference sweep mix: one Poisson data class, one bursty
@@ -62,25 +75,31 @@ CLASSES = (
     TrafficClass(alpha=0.001, beta=0.0005, name="video"),
 )
 
-#: (classic method name, numpy method name) per numeric mode.
-PAIRS = {
-    "log": ("convolution", "convolution-numpy"),
-    "scaled": ("convolution-scaled", "convolution-scaled-numpy"),
-    "float": ("convolution-float", "convolution-float-numpy"),
-    "mva": ("mva", "mva-numpy"),
+#: The production method of each numeric mode; its oracle runs as
+#: ``reference/<method>`` in the differential.
+METHODS = {
+    "log": "convolution",
+    "scaled": "convolution-scaled",
+    "float": "convolution-float",
+    "mva": "mva",
 }
+
 
 #: Regression-guard threshold: fail CI when a numpy single-solve p50
 #: grows past this multiple of the committed baseline.
 REGRESSION_FACTOR = 2.0
 
 
-def _solve(mode: str, n: int, kernel: str) -> None:
+def _solve(mode: str, n: int, side: str) -> None:
+    """One solve on the python oracle or on the production kernels."""
     dims = SwitchDimensions(n, n)
+    oracle = side == "python"
     if mode == "mva":
-        solve_mva(dims, CLASSES, kernel=kernel)
+        (reference if oracle else mva).solve_mva(dims, CLASSES)
     else:
-        solve_convolution(dims, CLASSES, mode=mode, kernel=kernel)
+        (reference if oracle else convolution).solve_convolution(
+            dims, CLASSES, mode=mode
+        )
 
 
 def _p50_ms(fn, repeats: int) -> float:
@@ -95,9 +114,9 @@ def _p50_ms(fn, repeats: int) -> float:
 
 
 def bench_single_solve(sizes: tuple[int, ...], repeats: int) -> dict:
-    """Matched python/numpy p50 per (mode, n), plus the headline ratio."""
+    """Matched oracle/production p50 per (mode, n), plus the headline."""
     cells = {}
-    for mode in PAIRS:
+    for mode in METHODS:
         for n in sizes:
             python_ms = _p50_ms(lambda: _solve(mode, n, "python"), repeats)
             numpy_ms = _p50_ms(lambda: _solve(mode, n, "numpy"), repeats)
@@ -125,16 +144,17 @@ def bench_single_solve(sizes: tuple[int, ...], repeats: int) -> dict:
 
 
 def bench_equivalence(cases_per_mode: int, seed: int = 2024) -> dict:
-    """The acceptance campaign: zero disagreements per mode pair."""
+    """The acceptance campaign: zero production-vs-oracle disagreements."""
     modes = {}
     began = time.perf_counter()
-    for mode, pair in PAIRS.items():
+    for mode, method in METHODS.items():
+        pair = [method, REFERENCE_PREFIX + method]
         sampler = ConfigSampler(seed=seed)
         checked = 0
         disagreements = []
         for _ in range(cases_per_mode):
             config = sampler.sample()
-            report = run_differential(config, methods=list(pair))
+            report = run_differential(config, methods=pair)
             if len(report.values) == 2:
                 checked += 1
             disagreements.extend(
@@ -155,7 +175,7 @@ def bench_equivalence(cases_per_mode: int, seed: int = 2024) -> dict:
 
 
 def bench_service(n_requests: int) -> dict:
-    """Cold ``/solve`` p50 over the wire with the scaled-numpy kernel.
+    """Cold ``/solve`` p50 over the wire with ``convolution-scaled``.
 
     Every request gets a distinct traffic mix, so each one misses the
     engine cache and pays for a real kernel solve — the number a
@@ -164,9 +184,7 @@ def bench_service(n_requests: int) -> dict:
     localhost connection, and the service's own ``elapsed_ms``
     (request decode -> batcher -> engine -> encoded reply), which is
     the daemon's latency metric and excludes client-side socket
-    scheduling.  The same cold sweep through the pure-python kernel
-    is measured for contrast — the vectorized kernel is what moves
-    the service-side p50 under the 1 ms line.
+    scheduling.
     """
     import http.client
 
@@ -174,7 +192,9 @@ def bench_service(n_requests: int) -> dict:
     from repro.engine import BatchSolver, EngineConfig
     from repro.service import ServiceConfig, start_in_thread
 
-    def request_for(i: int, method: str) -> SolveRequest:
+    method = "convolution-scaled"
+
+    def request_for(i: int) -> SolveRequest:
         classes = (
             TrafficClass.poisson(0.002 + 1e-6 * i, name="data"),
             TrafficClass(alpha=0.001, beta=0.0005, name="video"),
@@ -198,43 +218,48 @@ def bench_service(n_requests: int) -> dict:
             envelope = json.loads(conn.getresponse().read())
             return time.perf_counter() - began, envelope
 
-        def cold_sweep(method: str, offset: int) -> tuple[float, float]:
-            wire_solve(request_for(offset - 1, method))  # warm the path
-            client, server = [], []
-            for i in range(n_requests):
-                elapsed, envelope = wire_solve(
-                    request_for(offset + i, method)
-                )
-                assert not envelope["from_cache"], "cold solve hit cache"
-                client.append(elapsed)
-                server.append(envelope["elapsed_ms"])
-            return (
-                statistics.median(client) * 1e3,
-                statistics.median(server),
-            )
-
-        numpy_wire, numpy_service = cold_sweep(
-            "convolution-scaled-numpy", 0
-        )
-        python_wire, python_service = cold_sweep(
-            "convolution-scaled", 10**6
-        )
+        wire_solve(request_for(-1))  # warm the path
+        client, server = [], []
+        for i in range(n_requests):
+            elapsed, envelope = wire_solve(request_for(i))
+            assert not envelope["from_cache"], "cold solve hit cache"
+            client.append(elapsed)
+            server.append(envelope["elapsed_ms"])
         conn.close()
     finally:
         handle.stop()
     return {
         "n": 16,
-        "method": "convolution-scaled-numpy",
+        "method": method,
         "requests": n_requests,
-        "p50_ms": numpy_service,
-        "wire_p50_ms": numpy_wire,
-        "python_p50_ms": python_service,
-        "python_wire_p50_ms": python_wire,
+        "p50_ms": statistics.median(server),
+        "wire_p50_ms": statistics.median(client) * 1e3,
+    }
+
+
+def provenance(quick: bool) -> dict:
+    """Where and how the section was measured."""
+    import numpy
+
+    def git(*cmd: str) -> str:
+        return subprocess.run(
+            ["git", *cmd], cwd=ROOT, capture_output=True, text=True,
+            check=False,
+        ).stdout.strip()
+
+    return {
+        "quick": quick,
+        "commit": git("rev-parse", "HEAD") or "unknown",
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
     }
 
 
 def check_baseline(report: dict, baseline_path: Path) -> int:
-    """Exit status for the CI guard: 1 if any numpy p50 regressed > 2x."""
+    """Exit status for the CI guard: 1 if any production p50 regressed > 2x."""
     try:
         committed = json.loads(baseline_path.read_text())["kernels"]
     except (OSError, KeyError, json.JSONDecodeError) as exc:
@@ -271,7 +296,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check-baseline", action="store_true",
         help="compare against the committed report and exit 1 on a "
-        f">{REGRESSION_FACTOR}x numpy p50 regression (implies --quick "
+        f">{REGRESSION_FACTOR}x production p50 regression (implies --quick "
         "timing scope; does not rewrite the report)",
     )
     parser.add_argument("--output", default="BENCH_engine.json")
@@ -283,12 +308,16 @@ def main(argv=None) -> int:
     cases = 150 if quick else 2000
     service_requests = 50 if quick else 200
 
-    report = {"quick": quick, "single_solve": None}
+    report = {
+        "quick": quick,
+        "provenance": provenance(quick),
+        "single_solve": None,
+    }
     print(f"single-solve p50, sizes {sizes}, {repeats} repeats ...")
     report["single_solve"] = bench_single_solve(sizes, repeats)
     headline = report["single_solve"]["headline"]
     print(
-        f"  headline (log/python -> scaled/numpy, n={headline['n']}): "
+        f"  headline (log/oracle -> scaled/production, n={headline['n']}): "
         f"{headline['old_default_p50_ms']:.2f} ms -> "
         f"{headline['numpy_scaled_p50_ms']:.2f} ms "
         f"({headline['speedup']:.1f}x)"
@@ -307,8 +336,7 @@ def main(argv=None) -> int:
     report["service"] = bench_service(service_requests)
     print(
         f"  service p50 {report['service']['p50_ms']:.3f} ms "
-        f"(wire {report['service']['wire_p50_ms']:.3f} ms; python "
-        f"kernel {report['service']['python_p50_ms']:.3f} ms)"
+        f"(wire {report['service']['wire_p50_ms']:.3f} ms)"
     )
 
     if not quick:

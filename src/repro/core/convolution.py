@@ -16,17 +16,14 @@ any point with a negative coordinate is zero and ``Q(n1, 0) = 1/n1!``
 (only the empty state fits).  Complexity is ``O(N1 N2 R)`` exactly as
 the paper states.
 
-The sweeps in this module are the *reference* implementations: a
-scalar python loop over ``n2`` whose per-column updates go through the
-generic signed-log helpers (:mod:`repro.core.logspace`) or per-cell
-mantissa/exponent bookkeeping — easy to audit against the paper, but
-not fast.  The performance path is :mod:`repro.core.kernels`, which
-recomputes the same grids with whole-column NumPy operations (bitwise
-identical for the ``log`` and ``float`` modes, tolerance-equivalent
-with reference fallback for ``scaled``).  Select it per call with
-``kernel="numpy"``, process-wide with ``REPRO_KERNELS=numpy`` /
-:func:`repro.core.kernels.set_default_kernel`, or by method name
-(``convolution-numpy`` etc.) through the registry.
+Every sweep runs on the whole-column NumPy kernels of
+:mod:`repro.core.kernels` (bitwise identical to the scalar reference
+sweeps for the ``log`` and ``float`` modes, tolerance-equivalent for
+``scaled``); this module validates the inputs, picks the kernel for
+the numeric mode, folds smooth classes in and assembles the measures.
+The scalar sweeps, which follow the paper line by line, are kept in
+:mod:`repro.verify.reference` as the oracle the kernels are tested
+against.
 
 Three numeric modes are provided:
 
@@ -75,25 +72,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..exceptions import ComputationError, ConfigurationError, OverflowInRecursionError
-from .logspace import NEG_INF, signed_log_add, signed_log_scale
+from ..exceptions import ConfigurationError, OverflowInRecursionError
+from .logspace import NEG_INF
 from .measures import PerformanceSolution
 from .state import SwitchDimensions
 from .traffic import TrafficClass
 
 __all__ = ["solve_convolution", "log_q_grid"]
-
-_MODES = ("log", "scaled", "float")
-
-
-def _shift(column: np.ndarray, a: int, fill: float) -> np.ndarray:
-    """Return ``out[n1] = column[n1 - a]`` with ``fill`` for ``n1 < a``."""
-    out = np.full_like(column, fill)
-    if a == 0:
-        return column.copy()
-    if a <= column.shape[0]:
-        out[a:] = column[:-a]
-    return out
 
 
 def _validate(dims: SwitchDimensions, classes: Sequence[TrafficClass]) -> None:
@@ -102,205 +87,6 @@ def _validate(dims: SwitchDimensions, classes: Sequence[TrafficClass]) -> None:
     for cls in classes:
         if cls.a <= dims.capacity:
             cls.validate_for(dims.n1, dims.n2)
-
-
-# ----------------------------------------------------------------------
-# Log-domain sweep (robust default)
-# ----------------------------------------------------------------------
-
-
-def _sweep_log(
-    dims: SwitchDimensions, classes: Sequence[TrafficClass]
-) -> np.ndarray:
-    n1, n2 = dims.n1, dims.n2
-    lq = np.full((n1 + 1, n2 + 1), NEG_INF)
-    lq[:, 0] = -np.array([math.lgamma(m + 1) for m in range(n1 + 1)])
-
-    bursty = [r for r, c in enumerate(classes) if c.is_bursty]
-    lv = {r: np.full((n1 + 1, n2 + 1), NEG_INF) for r in bursty}
-    sv = {r: np.zeros((n1 + 1, n2 + 1), dtype=int) for r in bursty}
-
-    for col in range(1, n2 + 1):
-        acc_l = lq[:, col - 1].copy()
-        acc_s = (acc_l > NEG_INF).astype(int)
-        for r, cls in enumerate(classes):
-            a = cls.a
-            if col >= a:
-                src = _shift(lq[:, col - a], a, NEG_INF)
-            else:
-                src = np.full(n1 + 1, NEG_INF)
-            src_sign = (src > NEG_INF).astype(int)
-            if cls.is_poisson:
-                term_l, term_s = src, src_sign
-            else:
-                if col >= a:
-                    prev_l = _shift(lv[r][:, col - a], a, NEG_INF)
-                    prev_s = _shift(
-                        sv[r][:, col - a].astype(float), a, 0.0
-                    ).astype(int)
-                else:
-                    prev_l = np.full(n1 + 1, NEG_INF)
-                    prev_s = np.zeros(n1 + 1, dtype=int)
-                scaled_l, scaled_s = signed_log_scale(prev_l, prev_s, cls.b)
-                v_l, v_s = signed_log_add(src, src_sign, scaled_l, scaled_s)
-                lv[r][:, col] = v_l
-                sv[r][:, col] = v_s
-                term_l, term_s = v_l, v_s
-            factor = cls.a * cls.rho
-            if factor > 0.0:
-                term_l, term_s = signed_log_scale(term_l, term_s, factor)
-                acc_l, acc_s = signed_log_add(acc_l, acc_s, term_l, term_s)
-        if np.any(acc_s <= 0):
-            raise ComputationError(
-                "Q recursion produced a non-positive value at column "
-                f"n2={col}; the Bernoulli parameters likely admit a "
-                "negative arrival rate inside the state space"
-            )
-        lq[:, col] = acc_l - math.log(col)
-    return lq
-
-
-# ----------------------------------------------------------------------
-# Mantissa/exponent sweep (paper Section 6 dynamic scaling)
-# ----------------------------------------------------------------------
-
-
-def _sweep_scaled(
-    dims: SwitchDimensions, classes: Sequence[TrafficClass]
-) -> np.ndarray:
-    """Dynamic-scaling sweep; returns the grid of ``log Q``.
-
-    Each cell is ``man * 2**ex`` with ``man`` float64 and ``ex`` a wide
-    integer exponent.  Sums align terms to the largest exponent via
-    ``ldexp`` (terms more than ~1000 binary orders smaller vanish,
-    which is far below float64 resolution anyway).
-    """
-    n1, n2 = dims.n1, dims.n2
-    man = np.zeros((n1 + 1, n2 + 1))
-    ex = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    for m in range(n1 + 1):
-        lg = -math.lgamma(m + 1)
-        e = int(math.floor(lg / math.log(2.0)))
-        man[m, 0] = math.exp(lg - e * math.log(2.0))
-        ex[m, 0] = e
-
-    bursty = [r for r, c in enumerate(classes) if c.is_bursty]
-    vman = {r: np.zeros((n1 + 1, n2 + 1)) for r in bursty}
-    vex = {r: np.zeros((n1 + 1, n2 + 1), dtype=np.int64) for r in bursty}
-
-    def add_terms(
-        terms: list[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sum (mantissa, exponent) arrays; re-normalize the result."""
-        top = terms[0][1].copy()
-        for _, e in terms[1:]:
-            np.maximum(top, e, out=top)
-        total = np.zeros_like(terms[0][0])
-        for m, e in terms:
-            shift = np.clip(e - top, -1060, 0)
-            total += np.ldexp(m, shift.astype(np.int64))
-        out_man, out_ex = np.frexp(total)
-        out_ex = out_ex.astype(np.int64) + top
-        out_ex[total == 0.0] = 0
-        return out_man, out_ex
-
-    for col in range(1, n2 + 1):
-        terms = [(man[:, col - 1].copy(), ex[:, col - 1].copy())]
-        for r, cls in enumerate(classes):
-            a = cls.a
-            if col >= a:
-                src_m = _shift(man[:, col - a], a, 0.0)
-                src_e = _shift(
-                    ex[:, col - a].astype(float), a, 0.0
-                ).astype(np.int64)
-            else:
-                src_m = np.zeros(n1 + 1)
-                src_e = np.zeros(n1 + 1, dtype=np.int64)
-            if cls.is_poisson:
-                term_m, term_e = src_m, src_e
-            else:
-                if col >= a:
-                    pm = _shift(vman[r][:, col - a], a, 0.0) * cls.b
-                    pe = _shift(
-                        vex[r][:, col - a].astype(float), a, 0.0
-                    ).astype(np.int64)
-                else:
-                    pm = np.zeros(n1 + 1)
-                    pe = np.zeros(n1 + 1, dtype=np.int64)
-                term_m, term_e = add_terms([(src_m, src_e), (pm, pe)])
-                vman[r][:, col] = term_m
-                vex[r][:, col] = term_e
-            factor = cls.a * cls.rho
-            if factor > 0.0:
-                terms.append((term_m * factor, term_e))
-        total_m, total_e = add_terms(terms)
-        if np.any(total_m <= 0.0):
-            raise ComputationError(
-                f"Q recursion produced a non-positive value at column n2={col}"
-            )
-        man[:, col] = total_m / col
-        ex[:, col] = total_e
-
-    with np.errstate(divide="ignore"):
-        lq = np.where(
-            man > 0.0,
-            np.log(np.maximum(man, 1e-320)) + ex * math.log(2.0),
-            NEG_INF,
-        )
-    return lq
-
-
-# ----------------------------------------------------------------------
-# Raw float sweep (no scaling; ablation baseline)
-# ----------------------------------------------------------------------
-
-
-def _sweep_float(
-    dims: SwitchDimensions, classes: Sequence[TrafficClass]
-) -> np.ndarray:
-    n1, n2 = dims.n1, dims.n2
-    q = np.zeros((n1 + 1, n2 + 1))
-    for m in range(n1 + 1):
-        lg = -math.lgamma(m + 1)
-        if lg < math.log(5e-324):
-            raise OverflowInRecursionError(
-                f"Q({m}, 0) = 1/{m}! underflows float64; "
-                "use mode='scaled' or mode='log'"
-            )
-        q[m, 0] = math.exp(lg)
-    bursty = [r for r, c in enumerate(classes) if c.is_bursty]
-    v = {r: np.zeros((n1 + 1, n2 + 1)) for r in bursty}
-
-    for col in range(1, n2 + 1):
-        total = q[:, col - 1].copy()
-        for r, cls in enumerate(classes):
-            a = cls.a
-            src = _shift(q[:, col - a], a, 0.0) if col >= a else np.zeros(n1 + 1)
-            if cls.is_poisson:
-                term = src
-            else:
-                prev = (
-                    _shift(v[r][:, col - a], a, 0.0)
-                    if col >= a
-                    else np.zeros(n1 + 1)
-                )
-                term = src + cls.b * prev
-                v[r][:, col] = term
-            total += cls.a * cls.rho * term
-        total /= col
-        if not np.all(np.isfinite(total)):
-            raise OverflowInRecursionError(
-                f"unscaled Algorithm 1 overflowed at column n2={col}"
-            )
-        if np.any(total[: min(col, n1) + 1] == 0.0):
-            raise OverflowInRecursionError(
-                f"unscaled Algorithm 1 underflowed to zero at column n2={col}; "
-                "use mode='scaled' or mode='log'"
-            )
-        q[:, col] = total
-
-    with np.errstate(divide="ignore"):
-        return np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), NEG_INF)
 
 
 # ----------------------------------------------------------------------
@@ -361,52 +147,57 @@ def _fold_float(
 # ----------------------------------------------------------------------
 
 
+_FOLDS = {"log": _fold_log, "scaled": _fold_log, "float": _fold_float}
+
+
+def _numpy_sweep(mode: str):
+    """The production kernel for ``mode`` (looked up per call)."""
+    from . import kernels
+
+    return {
+        "log": kernels.sweep_log,
+        "scaled": kernels.sweep_scaled,
+        "float": kernels.sweep_float,
+    }[mode]
+
+
 def _sweep_and_fold(
     dims: SwitchDimensions,
-    sweep_classes: Sequence[TrafficClass],
+    classes: Sequence[TrafficClass],
     mode: str,
-    kernel: str | None,
+    sweep_for,
 ):
-    """Pick the sweep for ``(mode, kernel)``; returns ``(base, fold)``."""
-    from .kernels import resolve_kernel, sweep_float, sweep_log, sweep_scaled
+    """Validate, then sweep the ``beta >= 0`` classes.
 
-    family = resolve_kernel(kernel)
-    sweeps = {
-        ("log", "python"): _sweep_log,
-        ("scaled", "python"): _sweep_scaled,
-        ("float", "python"): _sweep_float,
-        ("log", "numpy"): sweep_log,
-        ("scaled", "numpy"): sweep_scaled,
-        ("float", "numpy"): sweep_float,
-    }
-    folds = {"log": _fold_log, "scaled": _fold_log, "float": _fold_float}
-    if mode not in folds:
+    Returns ``(base, fold)``: the swept ``log Q`` grid without the
+    smooth classes, and the fold that adds them.  ``sweep_for`` maps a
+    mode to its sweep; :mod:`repro.verify.reference` passes the scalar
+    oracle sweeps here.
+    """
+    _validate(dims, classes)
+    if mode not in _FOLDS:
         raise ConfigurationError(
-            f"unknown mode {mode!r}; expected one of {_MODES}"
+            f"unknown mode {mode!r}; expected one of {tuple(_FOLDS)}"
         )
-    return sweeps[(mode, family)](dims, sweep_classes), folds[mode]
+    base = sweep_for(mode)(dims, [c for c in classes if c.beta >= 0])
+    return base, _FOLDS[mode]
 
 
 def log_q_grid(
     dims: SwitchDimensions,
     classes: Sequence[TrafficClass],
     mode: str = "log",
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Grid of ``log Q(n1, n2)`` for ``0 <= n1 <= N1, 0 <= n2 <= N2``.
 
     Smooth (Bernoulli) classes are folded in through the positive-term
     identity rather than the alternating ``V`` recursion — see the
-    module docstring's stability note.  ``kernel`` selects the sweep
-    implementation (``None`` -> the process default, see
-    :mod:`repro.core.kernels`).
+    module docstring's stability note.
     """
-    _validate(dims, classes)
-    sweep_classes = [c for c in classes if c.beta >= 0]
-    fold_classes = [c for c in classes if c.beta < 0]
-    lq, fold = _sweep_and_fold(dims, sweep_classes, mode, kernel)
-    for cls in fold_classes:
-        lq = fold(lq, dims, cls)
+    lq, fold = _sweep_and_fold(dims, classes, mode, _numpy_sweep)
+    for cls in classes:
+        if cls.beta < 0:
+            lq = fold(lq, dims, cls)
     return lq
 
 
@@ -453,7 +244,6 @@ def solve_convolution(
     dims: SwitchDimensions,
     classes: Sequence[TrafficClass],
     mode: str = "log",
-    kernel: str | None = None,
 ) -> PerformanceSolution:
     """Solve the model with Algorithm 1 and return all measures.
 
@@ -464,19 +254,26 @@ def solve_convolution(
     mode:
         ``"log"`` (default), ``"scaled"`` (Section 6 dynamic scaling),
         or ``"float"`` (raw recurrence — raises on overflow/underflow).
-    kernel:
-        ``"python"`` (reference sweeps), ``"numpy"`` (vectorized
-        kernels, see :mod:`repro.core.kernels`) or ``None`` for the
-        process-wide default.  The solution label stays
-        ``convolution/<mode>`` either way — the kernel is an
-        implementation detail of the same algorithm, recorded on the
-        solution as ``solution.kernel``.
+
+    The solution is labelled ``convolution/<mode>`` and records the
+    kernel that swept it as ``solution.kernel`` (``"numpy"``).
     """
     classes = tuple(classes)
-    _validate(dims, classes)
-    sweep_classes = [c for c in classes if c.beta >= 0]
+    base, fold = _sweep_and_fold(dims, classes, mode, _numpy_sweep)
+    solution = _assemble(dims, classes, mode, base, fold)
+    solution.kernel = "numpy"
+    return solution
+
+
+def _assemble(
+    dims: SwitchDimensions,
+    classes: tuple[TrafficClass, ...],
+    mode: str,
+    base: np.ndarray,
+    fold,
+) -> PerformanceSolution:
+    """Fold smooth classes into ``base`` and build the solution."""
     fold_classes = [(r, c) for r, c in enumerate(classes) if c.beta < 0]
-    base, fold = _sweep_and_fold(dims, sweep_classes, mode, kernel)
     lq = base
     for _, cls in fold_classes:
         lq = fold(lq, dims, cls)
@@ -499,7 +296,7 @@ def solve_convolution(
                 lq_rest = fold(lq_rest, dims, other)
         e_smooth[r] = _smooth_concurrency_grid(lq, lq_rest, dims, cls)
 
-    solution = PerformanceSolution(
+    return PerformanceSolution(
         dims=dims,
         classes=classes,
         h=tuple(h_grids),
@@ -507,7 +304,3 @@ def solve_convolution(
         method=f"convolution/{mode}",
         e_smooth=e_smooth,
     )
-    from .kernels import resolve_kernel
-
-    solution.kernel = resolve_kernel(kernel)
-    return solution

@@ -1,26 +1,25 @@
 """Vectorized NumPy kernels for the Algorithm 1/2 hot loops.
 
-The pure-python sweeps in :mod:`repro.core.convolution` and
-:mod:`repro.core.mva` are the *reference* implementations: every
-numeric step routes through the generic signed-log helpers
-(:mod:`repro.core.logspace`) or scalar double loops, which makes them
-easy to audit against the paper but leaves 5-20x on the table.  This
-module provides drop-in kernels that compute the same grids with
+These are the production sweeps: every :func:`solve_convolution
+<repro.core.convolution.solve_convolution>` and :func:`solve_mva
+<repro.core.mva.solve_mva>` call runs them, and every solution records
+``solution.kernel == "numpy"``.  Each kernel computes its grid with
 whole-column NumPy array operations and a near-minimal number of ufunc
-dispatches per column:
+dispatches per column.  The scalar pure-python sweeps they replaced
+live on in :mod:`repro.verify.reference` as the differential oracle
+that the equivalence suite compares them with.
 
 ``sweep_log``
-    Bitwise-identical restructuring of ``_sweep_log``.  The sweep only
-    ever sees classes with ``beta >= 0`` (smooth classes are folded in
-    afterwards — see the convolution module's stability note), so every
-    signed-log term is non-negative and the generic masked
+    Bitwise-identical restructuring of the reference log sweep.  The
+    sweep only ever sees classes with ``beta >= 0`` (smooth classes are
+    folded in afterwards — see the convolution module's stability note),
+    so every signed-log term is non-negative and the generic masked
     ``signed_log_add`` collapses to the positive-domain max-shift update
     ``top + log(exp(a - top) + exp(b - top))``.  That expression performs
     the *same float64 operations in the same order* as the reference
     helper does on non-negative operands, so the resulting ``log Q``
     grid is bit-for-bit equal — not merely close — which the
-    equivalence suite asserts and the service byte-identity test
-    relies on.
+    equivalence suite asserts.
 ``sweep_float``
     The raw unscaled recurrence with preallocated buffers and in-place
     ufuncs, preserving the reference operation order exactly (bitwise
@@ -31,37 +30,26 @@ dispatches per column:
     maximum with the running scale carried as one ``log`` offset per
     column (instead of a per-cell mantissa/exponent pair), and each
     ``V`` column is kept at the scale of the ``Q`` column it was built
-    from, with scalar cross-scale weights realigning every term.  This
-    is the fastest kernel but is *not* bitwise equal to the reference —
-    it is tolerance-equivalent (well inside the method's 1e-9
-    differential tolerance).  If the sweep leaves float64's range
-    anyway (a renormalized column underflowing to exact zero, or a
-    ``V`` chain overflowing — deep near-underflow territory around
-    ``n1 >~ 170`` or extreme dynamic range), the kernel falls back to
-    the reference ``_sweep_scaled`` and the result matches the pure
-    python path bit for bit.
+    from, with scalar cross-scale weights realigning every term.  It is
+    *not* bitwise equal to the reference — it is tolerance-equivalent
+    (well inside the method's 1e-9 differential tolerance).  If the
+    sweep leaves float64's range anyway (a renormalized column
+    underflowing to exact zero, or a ``V`` chain overflowing — the
+    ``1/n1!`` cliff around ``n1 >~ 170`` or extreme dynamic range),
+    the kernel falls back to :func:`sweep_log`, which has no such cliff;
+    :func:`scaled_fallback_count` counts the fallbacks taken.
 ``solve_mva_numpy``
     Algorithm 2 with the ``m1`` axis vectorized.  The axis-2 ratio
     ``F_2(m1, m2)`` only references *previous* columns, so a whole
     column is computed at once; the same-column coupling of ``F_1`` is
     broken with the telescoping identity
     ``F_1(m1, m2) = F_1(m1, m2-1) F_2(m1, m2) / F_2(m1-1, m2)``.
-    Tolerance-equivalent to the reference (1e-8).
-
-Kernel selection
-----------------
-The public solvers accept ``kernel="python" | "numpy" | None``.  ``None``
-defers to the process-wide default: :func:`set_default_kernel`, else the
-``REPRO_KERNELS`` environment variable, else ``"python"`` (the reference
-path keeps its historical behavior).  The dedicated ``SolveMethod``
-entries (``convolution-numpy``, ``mva-numpy``, ...) pin the family
-explicitly regardless of the knob.
+    Tolerance-equivalent to the scalar reference (1e-8).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -76,10 +64,6 @@ from .state import SwitchDimensions
 from .traffic import TrafficClass
 
 __all__ = [
-    "KERNEL_FAMILIES",
-    "default_kernel",
-    "set_default_kernel",
-    "resolve_kernel",
     "sweep_log",
     "sweep_scaled",
     "sweep_float",
@@ -87,60 +71,13 @@ __all__ = [
     "scaled_fallback_count",
 ]
 
-KERNEL_FAMILIES = ("python", "numpy")
-
-#: Process-wide override installed by :func:`set_default_kernel`;
-#: ``None`` means "consult the environment".
-_DEFAULT_OVERRIDE: str | None = None
-
-#: Counter of reference fallbacks taken by :func:`sweep_scaled`
+#: Counter of log-sweep fallbacks taken by :func:`sweep_scaled`
 #: (diagnostic; read through :func:`scaled_fallback_count`).
 _SCALED_FALLBACKS = 0
 
 
-def _validate_family(family: str) -> str:
-    if family not in KERNEL_FAMILIES:
-        raise ConfigurationError(
-            f"unknown kernel family {family!r}; expected one of "
-            f"{KERNEL_FAMILIES}"
-        )
-    return family
-
-
-def default_kernel() -> str:
-    """The kernel family used when a solver is called with ``kernel=None``."""
-    if _DEFAULT_OVERRIDE is not None:
-        return _DEFAULT_OVERRIDE
-    env = os.environ.get("REPRO_KERNELS", "").strip()
-    if env:
-        return _validate_family(env)
-    return "python"
-
-
-def set_default_kernel(family: str | None) -> str | None:
-    """Install a process-wide default kernel family; returns the previous
-    override (``None`` if the environment/default was in effect).
-
-    Pass ``None`` to drop the override and fall back to ``REPRO_KERNELS``.
-    Intended to be set once at process start: the batched engine caches
-    results per method name, so flipping the knob mid-process can serve
-    a mix of kernel outputs for the tolerance-equivalent families.
-    """
-    global _DEFAULT_OVERRIDE
-    previous = _DEFAULT_OVERRIDE
-    _DEFAULT_OVERRIDE = None if family is None else _validate_family(family)
-    return previous
-
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Normalize an explicit ``kernel=`` argument (``None`` -> default)."""
-    if kernel is None:
-        return default_kernel()
-    return _validate_family(kernel)
-
-
 def scaled_fallback_count() -> int:
-    """How many times ``sweep_scaled`` fell back to the reference sweep."""
+    """How many times ``sweep_scaled`` fell back to ``sweep_log``."""
     return _SCALED_FALLBACKS
 
 
@@ -172,7 +109,7 @@ def _class_constants(
 
 
 # ----------------------------------------------------------------------
-# Log-domain sweep (bitwise-identical to convolution._sweep_log)
+# Log-domain sweep (bitwise-identical to the reference log sweep)
 # ----------------------------------------------------------------------
 
 
@@ -284,7 +221,7 @@ def sweep_log(
 
 
 # ----------------------------------------------------------------------
-# Raw float sweep (bitwise-identical to convolution._sweep_float)
+# Raw float sweep (bitwise-identical to the reference float sweep)
 # ----------------------------------------------------------------------
 
 
@@ -383,7 +320,7 @@ def _sweep_scaled_fast(
     qn_t[0] = np.exp(-np.array([math.lgamma(m + 1) for m in range(rows)]))
     if qn_t[0, n1] == 0.0:
         # 1/n1! spans more than float64 within one column: the cell
-        # magnitudes cannot share a single scale.  Reference territory.
+        # magnitudes cannot share a single scale.  Log-sweep territory.
         raise _ScaledKernelFallback
     # Classes with a zero arrival rate contribute nothing (their V
     # chain only feeds terms that are multiplied by the zero factor).
@@ -431,7 +368,7 @@ def _sweep_scaled_fast(
     # Q is strictly positive at every grid point (the empty state always
     # fits), so an exact zero anywhere means a column's dynamic range
     # exceeded float64 mid-sweep — detected once here, after which the
-    # caller re-runs the reference sweep from scratch.
+    # caller re-runs the log sweep from scratch.
     if np.any(qn_t == 0.0):
         raise _ScaledKernelFallback
 
@@ -444,22 +381,20 @@ def _sweep_scaled_fast(
 def sweep_scaled(
     dims: SwitchDimensions, classes: Sequence[TrafficClass]
 ) -> np.ndarray:
-    """Fast dynamic-scaling sweep; falls back to the reference on under/overflow.
+    """Fast dynamic-scaling sweep; falls back to ``sweep_log`` on under/overflow.
 
     The fallback (columns whose cells span more than float64's range,
     e.g. ``n1 >~ 170``, or a ``V`` chain overflowing under extreme
-    dynamic range) re-runs the exact reference ``_sweep_scaled``, so
-    fallback results match the pure python path bit for bit.  The count
-    of fallbacks taken is exposed through :func:`scaled_fallback_count`.
+    dynamic range) re-runs the sweep in the log domain, which carries
+    no scale and so cannot leave float64's range.  The count of
+    fallbacks taken is exposed through :func:`scaled_fallback_count`.
     """
     try:
         return _sweep_scaled_fast(dims, classes)
     except _ScaledKernelFallback:
         global _SCALED_FALLBACKS
         _SCALED_FALLBACKS += 1
-        from .convolution import _sweep_scaled
-
-        return _sweep_scaled(dims, classes)
+        return sweep_log(dims, classes)
 
 
 # ----------------------------------------------------------------------
@@ -474,8 +409,9 @@ def solve_mva_numpy(dims: SwitchDimensions, classes: Sequence[TrafficClass]):
     previously completed columns, so ``F_2``, ``H_r`` and ``Dhat_r``
     are computed one whole column at a time; ``F_1`` is recovered per
     column from the telescoping ratio identity (see module docstring).
-    Returns the same :class:`~repro.core.measures.PerformanceSolution`
-    (with ``solution.grids`` attached) as the reference ``solve_mva``.
+    Returns a :class:`~repro.core.measures.PerformanceSolution` with
+    the raw :class:`~repro.core.mva.MvaGrids` attached as
+    ``solution.grids``.
     """
     from .measures import PerformanceSolution
     from .mva import MvaGrids, _check_smooth_stability

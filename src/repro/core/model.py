@@ -47,11 +47,7 @@ METHODS = (
     SolveMethod.CONVOLUTION.value,
     SolveMethod.CONVOLUTION_SCALED.value,
     SolveMethod.CONVOLUTION_FLOAT.value,
-    SolveMethod.CONVOLUTION_NUMPY.value,
-    SolveMethod.CONVOLUTION_SCALED_NUMPY.value,
-    SolveMethod.CONVOLUTION_FLOAT_NUMPY.value,
     SolveMethod.MVA.value,
-    SolveMethod.MVA_NUMPY.value,
     SolveMethod.EXACT.value,
     SolveMethod.BRUTE_FORCE.value,
 )

@@ -52,7 +52,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..exceptions import ComputationError, ConfigurationError
+from ..exceptions import ComputationError
 from .measures import PerformanceSolution
 from .state import SwitchDimensions
 from .traffic import TrafficClass
@@ -164,9 +164,7 @@ def _check_smooth_stability(
 
 
 def solve_mva(
-    dims: SwitchDimensions,
-    classes: Sequence[TrafficClass],
-    kernel: str | None = None,
+    dims: SwitchDimensions, classes: Sequence[TrafficClass]
 ) -> PerformanceSolution:
     """Solve the model with Algorithm 2 (mean value analysis).
 
@@ -174,77 +172,13 @@ def solve_mva(
     space overhead relative to Algorithm 1 is what the paper trades for
     numerical stability.  Returns the same
     :class:`~repro.core.measures.PerformanceSolution` interface as
-    Algorithm 1 (without ``log Q``, which ratios cannot reconstruct).
+    Algorithm 1 (without ``log Q``, which ratios cannot reconstruct),
+    with the raw :class:`MvaGrids` attached as ``solution.grids``.
 
-    ``kernel="numpy"`` (or a process-wide default of ``numpy``, see
-    :mod:`repro.core.kernels`) dispatches to the column-vectorized
-    implementation; ``"python"`` runs the scalar reference loop below.
-    The two are tolerance-equivalent (1e-8), not bitwise identical —
-    the vectorized path factors ``H_r`` along the other grid axis.
+    Runs the column-vectorized kernel
+    :func:`repro.core.kernels.solve_mva_numpy`; the scalar grid loop it
+    replaces is kept as the oracle :func:`repro.verify.reference.solve_mva`.
     """
-    from .kernels import resolve_kernel, solve_mva_numpy
+    from .kernels import solve_mva_numpy
 
-    if resolve_kernel(kernel) == "numpy":
-        solution = solve_mva_numpy(dims, classes)
-        solution.kernel = "numpy"
-        return solution
-    classes = tuple(classes)
-    if not classes:
-        raise ConfigurationError("at least one traffic class is required")
-    for cls in classes:
-        if cls.a <= dims.capacity:
-            cls.validate_for(dims.n1, dims.n2)
-        _check_smooth_stability(dims, cls)
-
-    grids = MvaGrids(dims, classes)
-    n1, n2 = dims.n1, dims.n2
-
-    # Boundaries: only the empty state fits when either side is 0.
-    for m1 in range(1, n1 + 1):
-        grids.f1[m1, 0] = m1
-    for m2 in range(1, n2 + 1):
-        grids.f2[0, m2] = m2
-
-    for m2 in range(1, n2 + 1):
-        for m1 in range(1, n1 + 1):
-            denom1 = 1.0
-            denom2 = 1.0
-            fits = []
-            for r, cls in enumerate(classes):
-                if m1 < cls.a or m2 < cls.a:
-                    fits.append(False)
-                    continue
-                fits.append(True)
-                if cls.is_poisson:
-                    c = 1.0
-                else:
-                    c = 1.0 + cls.b * grids.dhat[r][m1 - cls.a, m2 - cls.a]
-                load = cls.a * cls.rho * c
-                denom1 += load * _k_product(grids, r, m1, m2, axis=1)
-                denom2 += load * _k_product(grids, r, m1, m2, axis=2)
-            if denom1 <= 0.0 or denom2 <= 0.0:
-                raise ComputationError(
-                    f"MVA denominator non-positive at ({m1}, {m2}); "
-                    "Bernoulli parameters admit negative arrival rates"
-                )
-            grids.f1[m1, m2] = m1 / denom1
-            grids.f2[m1, m2] = m2 / denom2
-            for r, cls in enumerate(classes):
-                if not fits[r]:
-                    continue
-                h = grids.f1[m1, m2] * _k_product(grids, r, m1, m2, axis=1)
-                grids.h[r][m1, m2] = h
-                grids.dhat[r][m1, m2] = h * (
-                    1.0 + cls.b * grids.dhat[r][m1 - cls.a, m2 - cls.a]
-                )
-
-    solution = PerformanceSolution(
-        dims=dims,
-        classes=classes,
-        h=tuple(np.array(g) for g in grids.h),
-        log_q=None,
-        method="mva",
-    )
-    solution.grids = grids  # expose raw grids for diagnostics/tests
-    solution.kernel = "python"
-    return solution
+    return solve_mva_numpy(dims, classes)

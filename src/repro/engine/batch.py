@@ -392,13 +392,11 @@ def _dispatch_solve(request: SolveRequest) -> Any:
     if mode is not None:
         from ..core.convolution import solve_convolution
 
-        return solve_convolution(
-            dims, classes, mode=mode, kernel=method.kernel_family
-        )
-    if method is SolveMethod.MVA or method is SolveMethod.MVA_NUMPY:
+        return solve_convolution(dims, classes, mode=mode)
+    if method is SolveMethod.MVA:
         from ..core.mva import solve_mva
 
-        return solve_mva(dims, classes, kernel=method.kernel_family)
+        return solve_mva(dims, classes)
     if method is SolveMethod.EXACT:
         from ..core.exact import solve_exact
 

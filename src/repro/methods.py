@@ -35,20 +35,8 @@ class SolveMethod(str, Enum):
     CONVOLUTION_SCALED = "convolution-scaled"
     #: Algorithm 1 unscaled (raises when it over/underflows).
     CONVOLUTION_FLOAT = "convolution-float"
-    #: Algorithm 1 (log domain) on the vectorized NumPy kernel
-    #: (:mod:`repro.core.kernels`) — bitwise-identical to CONVOLUTION.
-    CONVOLUTION_NUMPY = "convolution-numpy"
-    #: Dynamic-scaling Algorithm 1 on the fast renormalizing kernel
-    #: (tolerance-equivalent; falls back to the reference sweep when a
-    #: column's dynamic range exceeds float64).
-    CONVOLUTION_SCALED_NUMPY = "convolution-scaled-numpy"
-    #: Unscaled Algorithm 1 on the NumPy kernel — bitwise-identical to
-    #: CONVOLUTION_FLOAT, including its overflow boundaries.
-    CONVOLUTION_FLOAT_NUMPY = "convolution-float-numpy"
     #: Algorithm 2 (paper §5.1), ratio domain.
     MVA = "mva"
-    #: Algorithm 2 with the ``m1`` axis vectorized (tolerance-equivalent).
-    MVA_NUMPY = "mva-numpy"
     #: Algorithm 1 in exact rational arithmetic.
     EXACT = "exact"
     #: Direct summation over the state space (eq. 2-3).
@@ -65,18 +53,6 @@ class SolveMethod(str, Enum):
     def convolution_mode(self) -> str | None:
         """The ``solve_convolution`` mode for Algorithm 1 members, else None."""
         return _CONVOLUTION_MODES.get(self)
-
-    @property
-    def kernel_family(self) -> str | None:
-        """The kernel family this method pins, if any.
-
-        The ``*-numpy`` members always run the vectorized kernels; the
-        classic members return ``None``, meaning "follow the process
-        default" (:func:`repro.core.kernels.default_kernel`, i.e. the
-        ``REPRO_KERNELS`` knob, defaulting to the pure-python reference
-        sweeps).  Solvers receive this as their ``kernel=`` argument.
-        """
-        return _KERNEL_FAMILIES.get(self)
 
     @property
     def rel_tolerance(self) -> float:
@@ -129,17 +105,6 @@ _CONVOLUTION_MODES = {
     SolveMethod.CONVOLUTION: "log",
     SolveMethod.CONVOLUTION_SCALED: "scaled",
     SolveMethod.CONVOLUTION_FLOAT: "float",
-    SolveMethod.CONVOLUTION_NUMPY: "log",
-    SolveMethod.CONVOLUTION_SCALED_NUMPY: "scaled",
-    SolveMethod.CONVOLUTION_FLOAT_NUMPY: "float",
-}
-
-#: Methods that pin a kernel family (absent -> follow the process knob).
-_KERNEL_FAMILIES = {
-    SolveMethod.CONVOLUTION_NUMPY: "numpy",
-    SolveMethod.CONVOLUTION_SCALED_NUMPY: "numpy",
-    SolveMethod.CONVOLUTION_FLOAT_NUMPY: "numpy",
-    SolveMethod.MVA_NUMPY: "numpy",
 }
 
 #: Methods whose solution exposes measures at every sub-dimension.
@@ -147,12 +112,7 @@ _KERNEL_FAMILIES = {
 #: push the unscaled recurrence into the very under/overflow it exists
 #: to demonstrate, so batching must not change the dims it runs at.
 _GRID_METHODS = frozenset(
-    {
-        SolveMethod.CONVOLUTION,
-        SolveMethod.CONVOLUTION_SCALED,
-        SolveMethod.CONVOLUTION_NUMPY,
-        SolveMethod.CONVOLUTION_SCALED_NUMPY,
-    }
+    {SolveMethod.CONVOLUTION, SolveMethod.CONVOLUTION_SCALED}
 )
 
 #: Per-method relative tolerances for differential comparison.  The
@@ -165,11 +125,7 @@ _REL_TOLERANCES = {
     SolveMethod.CONVOLUTION: 1e-9,
     SolveMethod.CONVOLUTION_SCALED: 1e-9,
     SolveMethod.CONVOLUTION_FLOAT: 1e-9,
-    SolveMethod.CONVOLUTION_NUMPY: 1e-9,
-    SolveMethod.CONVOLUTION_SCALED_NUMPY: 1e-9,
-    SolveMethod.CONVOLUTION_FLOAT_NUMPY: 1e-9,
     SolveMethod.MVA: 1e-8,
-    SolveMethod.MVA_NUMPY: 1e-8,
     SolveMethod.EXACT: 1e-12,
     SolveMethod.BRUTE_FORCE: 1e-9,
     SolveMethod.SERIES: 1e-8,
@@ -181,7 +137,4 @@ _ALIASES = {
     "convolution/log": SolveMethod.CONVOLUTION,
     "convolution/scaled": SolveMethod.CONVOLUTION_SCALED,
     "convolution/float": SolveMethod.CONVOLUTION_FLOAT,
-    "convolution-numpy/log": SolveMethod.CONVOLUTION_NUMPY,
-    "convolution-numpy/scaled": SolveMethod.CONVOLUTION_SCALED_NUMPY,
-    "convolution-numpy/float": SolveMethod.CONVOLUTION_FLOAT_NUMPY,
 }

@@ -198,6 +198,11 @@ class _Instruments:
             engine_stat.set(
                 (lambda s=stat: engine.stats.snapshot()[s]), stat=stat
             )
+        registry.gauge(
+            "repro_kernel_scaled_fallbacks",
+            "Scaled sweeps that fell back to the log sweep past the "
+            "1/n1! float64 cliff (process lifetime).",
+        ).set(self._scaled_fallbacks)
         last_batch = registry.gauge(
             "repro_engine_last_batch",
             "BatchMetrics of the engine's most recent batch.",
@@ -257,6 +262,13 @@ class _Instruments:
         batcher_gauge.set(
             lambda: batcher.expired_requests, field="expired_requests"
         )
+
+    @staticmethod
+    def _scaled_fallbacks() -> int:
+        # Imported at render time: the kernels load with the first solve.
+        from ..core.kernels import scaled_fallback_count
+
+        return scaled_fallback_count()
 
     @staticmethod
     def _last_batch_field(engine: BatchSolver, fname: str) -> float:

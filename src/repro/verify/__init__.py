@@ -23,6 +23,9 @@ correctness harness:
 * :mod:`repro.verify.corpus` — the golden-snapshot corpus manager
   (provenance headers, drift diffing) behind ``tests/golden/`` and
   ``tools/refresh_golden.py``.
+* :mod:`repro.verify.reference` — the pure-python Algorithm 1 sweeps
+  and the scalar Algorithm 2 loop, the oracle the production NumPy
+  kernels (:mod:`repro.core.kernels`) are compared with.
 * :mod:`repro.verify.runner` — the budgeted orchestrator behind
   ``crossbar-repro verify``: named paper configurations first, then the
   fuzzer, with failing configs shrunk and dumped as JSON repro files.

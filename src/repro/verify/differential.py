@@ -3,8 +3,10 @@
 One configuration, every applicable solver, all pairs compared.  The
 solver set mirrors :mod:`repro.validation` (Algorithm 1 in three
 numeric modes, Algorithm 2, the diagonal series solver, exact
-rationals, brute force and the raw CTMC) but differs in two ways that
-matter for fuzzing:
+rationals, brute force and the raw CTMC), plus the pure-python oracle
+of each NumPy kernel (:mod:`repro.verify.reference`, entries named
+``reference/<method>``), but differs in two ways that matter for
+fuzzing:
 
 * solvers are invoked **directly** through late-bound module lookups,
   never through the batched engine — a cached result would mask a
@@ -82,12 +84,12 @@ def _measures_of(solution, n_classes: int) -> dict[str, tuple[float, ...]]:
 # ----------------------------------------------------------------------
 
 
-def _run_convolution(mode: str, kernel: str = "python"):
+def _run_convolution(mode: str):
     def call(config: ModelConfig):
         from ..core import convolution
 
         return convolution.solve_convolution(
-            config.dims, config.classes, mode=mode, kernel=kernel
+            config.dims, config.classes, mode=mode
         )
 
     return call
@@ -96,13 +98,24 @@ def _run_convolution(mode: str, kernel: str = "python"):
 def _run_mva(config: ModelConfig):
     from ..core import mva
 
-    return mva.solve_mva(config.dims, config.classes, kernel="python")
+    return mva.solve_mva(config.dims, config.classes)
 
 
-def _run_mva_numpy(config: ModelConfig):
-    from ..core import mva
+def _run_reference_convolution(mode: str):
+    def call(config: ModelConfig):
+        from . import reference
 
-    return mva.solve_mva(config.dims, config.classes, kernel="numpy")
+        return reference.solve_convolution(
+            config.dims, config.classes, mode=mode
+        )
+
+    return call
+
+
+def _run_reference_mva(config: ModelConfig):
+    from . import reference
+
+    return reference.solve_mva(config.dims, config.classes)
 
 
 def _run_series(config: ModelConfig):
@@ -129,21 +142,21 @@ def _run_ctmc(config: ModelConfig):
     return ctmc_solve.solve_ctmc(config.dims, config.classes)
 
 
+#: Prefix of the pure-python oracle entries (:mod:`repro.verify.reference`):
+#: ``reference/<method>`` runs ``<method>`` on the scalar sweeps and is
+#: trusted to that method's tolerance, so every production kernel is
+#: compared with its oracle on every configuration.
+REFERENCE_PREFIX = "reference/"
+
 _SOLVERS = {
-    # Classic entries pin kernel="python" so the process-wide kernel
-    # knob can never alias the reference side of a differential pair.
     SolveMethod.CONVOLUTION.value: _run_convolution("log"),
     SolveMethod.CONVOLUTION_SCALED.value: _run_convolution("scaled"),
     SolveMethod.CONVOLUTION_FLOAT.value: _run_convolution("float"),
-    SolveMethod.CONVOLUTION_NUMPY.value: _run_convolution("log", "numpy"),
-    SolveMethod.CONVOLUTION_SCALED_NUMPY.value: _run_convolution(
-        "scaled", "numpy"
-    ),
-    SolveMethod.CONVOLUTION_FLOAT_NUMPY.value: _run_convolution(
-        "float", "numpy"
-    ),
     SolveMethod.MVA.value: _run_mva,
-    SolveMethod.MVA_NUMPY.value: _run_mva_numpy,
+    "reference/convolution": _run_reference_convolution("log"),
+    "reference/convolution-scaled": _run_reference_convolution("scaled"),
+    "reference/convolution-float": _run_reference_convolution("float"),
+    "reference/mva": _run_reference_mva,
     SolveMethod.SERIES.value: _run_series,
     SolveMethod.EXACT.value: _run_exact,
     SolveMethod.BRUTE_FORCE.value: _run_brute_force,
@@ -155,7 +168,9 @@ def method_tolerance(method: str) -> float:
     """Trusted relative accuracy of one method name."""
     if method in _EXTRA_TOLERANCES:
         return _EXTRA_TOLERANCES[method]
-    return SolveMethod.coerce(method).rel_tolerance
+    return SolveMethod.coerce(
+        method.removeprefix(REFERENCE_PREFIX)
+    ).rel_tolerance
 
 
 def pair_tolerance(method_a: str, method_b: str) -> float:
@@ -176,11 +191,11 @@ def applicable_methods(config: ModelConfig) -> list[str]:
         SolveMethod.CONVOLUTION.value,
         SolveMethod.CONVOLUTION_SCALED.value,
         SolveMethod.CONVOLUTION_FLOAT.value,
-        SolveMethod.CONVOLUTION_NUMPY.value,
-        SolveMethod.CONVOLUTION_SCALED_NUMPY.value,
-        SolveMethod.CONVOLUTION_FLOAT_NUMPY.value,
         SolveMethod.MVA.value,
-        SolveMethod.MVA_NUMPY.value,
+        "reference/convolution",
+        "reference/convolution-scaled",
+        "reference/convolution-float",
+        "reference/mva",
         SolveMethod.SERIES.value,
     ]
     if config.capacity <= EXACT_CAPACITY_LIMIT:

@@ -1,32 +1,37 @@
-"""Differential equivalence locks for the vectorized NumPy kernels.
+"""Differential equivalence locks: production NumPy kernels vs oracle.
 
-The kernels in :mod:`repro.core.kernels` re-implement the Algorithm 1
-sweeps and the Algorithm 2 ratio sweep as whole-column NumPy array
-operations.  Their contract, enforced here:
+Every production solve runs the whole-column NumPy kernels in
+:mod:`repro.core.kernels`.  The pure-python sweeps they replaced live
+on in :mod:`repro.verify.reference` as the oracle.  The contract,
+enforced here:
 
-* ``log`` and ``float`` modes are **bitwise identical** to the
-  pure-python reference sweeps (``np.array_equal`` on the full grids,
-  matching exception behavior at the float-mode overflow boundary);
+* ``log`` and ``float`` modes are **bitwise identical** to the oracle
+  sweeps (``np.array_equal`` on the full grids, matching exception
+  behavior at the float-mode overflow boundary);
 * ``scaled`` is tolerance-equivalent on the fast path and falls back
-  to the reference sweep — bit for bit — when a column's dynamic range
+  to the NumPy log sweep — bit for bit — when a column's dynamic range
   leaves float64 (the ``1/n1!`` cliff past ``n1 ~ 178``);
-* ``mva-numpy`` agrees with the scalar reference to its registered
+* the vectorized MVA agrees with the scalar oracle to its registered
   1e-8 differential tolerance;
 * the eq. 9 auxiliary recursion ``V(n, r) = Q(n - a_r I) + b_r
   V(n - a_r I, r)`` holds pointwise against direct scalar evaluation
   (hypothesis property, profiles from ``tests/conftest.py``);
-* the ``repro.verify`` fuzzer finds **zero** old-vs-new disagreements
-  over seeded sampled configs per numeric mode, and a deliberately
-  broken kernel is caught *and shrunk* to a minimal JSON reproducer;
+* the ``repro.verify`` fuzzer finds **zero** production-vs-oracle
+  disagreements over seeded sampled configs per numeric mode, and a
+  deliberately broken kernel is caught *and shrunk* to a minimal JSON
+  reproducer;
 * the golden corpus (including ``kernel_edges.json``) stays green when
-  rebuilt under either kernel family;
-* the service wire path serves byte-identical ``/solve`` envelopes
-  with the NumPy kernels selected (the ``log`` kernel's bitwise
-  guarantee, observed end to end on Table 1 configurations).
+  rebuilt on the production solvers and on the oracle;
+* every request runs the NumPy kernels with no configuration, and the
+  service wire path serves ``/solve`` envelopes byte-identical to the
+  oracle's (the ``log`` kernel's bitwise guarantee, observed end to
+  end on Table 1 configurations).
 
-The seeded fuzz case count scales with ``KERNEL_EQUIV_CASES`` (default
-100 per mode here; the CI ``kernel-equivalence`` job raises it, and
-``benchmarks/bench_kernels.py`` runs the full >= 2000-case campaign).
+Parametrized tests name the two sides ``numpy`` (production) and
+``python`` (oracle).  The seeded fuzz case count scales with
+``KERNEL_EQUIV_CASES`` (default 100 per mode here; the CI
+``kernel-equivalence`` job raises it, and ``benchmarks/bench_kernels.py``
+runs the full >= 2000-case campaign).
 """
 
 from __future__ import annotations
@@ -40,19 +45,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import kernels
-from repro.core.convolution import (
-    _sweep_float,
-    _sweep_log,
-    _sweep_scaled,
-    log_q_grid,
-    solve_convolution,
-)
+from repro.core import convolution, kernels
+from repro.core.convolution import log_q_grid, solve_convolution
 from repro.core.kernels import (
-    default_kernel,
-    resolve_kernel,
     scaled_fallback_count,
-    set_default_kernel,
     sweep_float,
     sweep_log,
     sweep_scaled,
@@ -62,26 +58,25 @@ from repro.core.state import SwitchDimensions
 from repro.core.traffic import TrafficClass
 from repro.exceptions import ConfigurationError, OverflowInRecursionError
 from repro.methods import SolveMethod
-from repro.verify.differential import run_differential
+from repro.verify import reference
+from repro.verify.differential import REFERENCE_PREFIX, run_differential
 from repro.verify.generators import ConfigSampler
 
 #: Seeded case count per numeric mode for the fuzz smoke (the full
 #: acceptance campaign lives in benchmarks/bench_kernels.py).
 FUZZ_CASES = int(os.environ.get("KERNEL_EQUIV_CASES", "100"))
 
-#: (classic, numpy-pinned) method pairs per numeric mode.
-KERNEL_PAIRS = {
-    "log": (SolveMethod.CONVOLUTION, SolveMethod.CONVOLUTION_NUMPY),
-    "scaled": (
-        SolveMethod.CONVOLUTION_SCALED,
-        SolveMethod.CONVOLUTION_SCALED_NUMPY,
-    ),
-    "float": (
-        SolveMethod.CONVOLUTION_FLOAT,
-        SolveMethod.CONVOLUTION_FLOAT_NUMPY,
-    ),
-    "mva": (SolveMethod.MVA, SolveMethod.MVA_NUMPY),
+#: The production method of each numeric mode; its oracle joins the
+#: differential as ``reference/<method>``.
+KERNEL_METHODS = {
+    "log": SolveMethod.CONVOLUTION,
+    "scaled": SolveMethod.CONVOLUTION_SCALED,
+    "float": SolveMethod.CONVOLUTION_FLOAT,
+    "mva": SolveMethod.MVA,
 }
+
+#: The two sides of every comparison, by the name the test ids use.
+SOLVERS = {"python": reference, "numpy": convolution}
 
 
 def sampled_configs(seed: int, count: int):
@@ -94,15 +89,15 @@ def sweep_classes_of(config):
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: zero old-vs-new mismatches per numeric mode
+# Differential fuzz: zero production-vs-oracle mismatches per mode
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", sorted(KERNEL_PAIRS))
+@pytest.mark.parametrize("mode", sorted(KERNEL_METHODS))
 def test_fuzz_zero_disagreements_per_mode(mode):
     """The registered pair tolerance holds over seeded sampled configs."""
-    old, new = KERNEL_PAIRS[mode]
-    methods = [old.value, new.value]
+    method = KERNEL_METHODS[mode].value
+    methods = [REFERENCE_PREFIX + method, method]
     disagreements = []
     for config in sampled_configs(seed=2024, count=FUZZ_CASES):
         report = run_differential(config, methods=methods)
@@ -123,7 +118,7 @@ def test_sweep_log_bitwise_equal_to_reference():
         sweep = sweep_classes_of(config)
         if not sweep:
             continue
-        ref = _sweep_log(config.dims, sweep)
+        ref = reference.sweep_log(config.dims, sweep)
         new = sweep_log(config.dims, sweep)
         assert np.array_equal(ref, new), config.describe()
         checked += 1
@@ -137,7 +132,7 @@ def test_sweep_float_bitwise_equal_including_overflow_boundary():
         if not sweep:
             continue
         try:
-            ref, ref_err = _sweep_float(config.dims, sweep), None
+            ref, ref_err = reference.sweep_float(config.dims, sweep), None
         except OverflowInRecursionError as exc:
             ref, ref_err = None, str(exc)
         try:
@@ -155,21 +150,19 @@ def test_float_mode_raises_identically_at_factorial_cliff():
     dims = SwitchDimensions(185, 2)
     classes = (TrafficClass.poisson(0.05),)
     with pytest.raises(OverflowInRecursionError) as ref:
-        log_q_grid(dims, classes, mode="float", kernel="python")
+        reference.log_q_grid(dims, classes, mode="float")
     with pytest.raises(OverflowInRecursionError) as new:
-        log_q_grid(dims, classes, mode="float", kernel="numpy")
+        log_q_grid(dims, classes, mode="float")
     assert str(ref.value) == str(new.value)
 
 
 def test_full_solution_grids_bitwise_equal_log_mode():
     """End-to-end solve (folds, h grids, measures) is bitwise equal."""
     for config in sampled_configs(seed=13, count=30):
-        ref = solve_convolution(
-            config.dims, config.classes, mode="log", kernel="python"
+        ref = reference.solve_convolution(
+            config.dims, config.classes, mode="log"
         )
-        new = solve_convolution(
-            config.dims, config.classes, mode="log", kernel="numpy"
-        )
+        new = solve_convolution(config.dims, config.classes, mode="log")
         assert np.array_equal(ref.log_q, new.log_q)
         for r in range(len(config.classes)):
             assert np.array_equal(ref.h[r], new.h[r])
@@ -180,7 +173,7 @@ def test_full_solution_grids_bitwise_equal_log_mode():
 
 
 # ----------------------------------------------------------------------
-# Scaled kernel: tolerance equivalence and the reference fallback
+# Scaled kernel: tolerance equivalence and the log-sweep fallback
 # ----------------------------------------------------------------------
 
 
@@ -190,7 +183,7 @@ def test_sweep_scaled_tolerance_equivalent():
         sweep = sweep_classes_of(config)
         if not sweep:
             continue
-        ref = _sweep_scaled(config.dims, sweep)
+        ref = reference.sweep_scaled(config.dims, sweep)
         new = sweep_scaled(config.dims, sweep)
         finite = np.isfinite(ref)
         assert np.array_equal(finite, np.isfinite(new))
@@ -205,7 +198,7 @@ def test_sweep_scaled_tolerance_equivalent():
 
 
 def test_scaled_kernel_falls_back_past_factorial_cliff():
-    """``exp(-lgamma(n1+1)) == 0`` forces the reference sweep, bit for bit."""
+    """``exp(-lgamma(n1+1)) == 0`` forces the NumPy log sweep, bit for bit."""
     dims = SwitchDimensions(185, 3)
     classes = (
         TrafficClass.poisson(0.05),
@@ -215,8 +208,15 @@ def test_scaled_kernel_falls_back_past_factorial_cliff():
     before = scaled_fallback_count()
     new = sweep_scaled(dims, classes)
     assert scaled_fallback_count() == before + 1
-    ref = _sweep_scaled(dims, classes)
-    assert np.array_equal(ref, new)  # fallback IS the reference
+    assert np.array_equal(sweep_log(dims, classes), new)  # fallback IS log
+    # ... and the fallback still honours the scaled mode's contract
+    # with its oracle, the mantissa/exponent sweep.
+    ref = reference.sweep_scaled(dims, classes)
+    assert np.array_equal(np.isfinite(ref), np.isfinite(new))
+    finite = np.isfinite(ref)
+    scale = np.maximum(np.abs(ref[finite]), 1.0)
+    rel = np.max(np.abs(ref[finite] - new[finite]) / scale)
+    assert rel < 1e-10, rel
 
 
 def test_scaled_fast_path_used_below_the_cliff():
@@ -228,7 +228,7 @@ def test_scaled_fast_path_used_below_the_cliff():
 
 
 # ----------------------------------------------------------------------
-# MVA kernel: registered tolerance
+# MVA kernel: registered tolerance against the scalar oracle
 # ----------------------------------------------------------------------
 
 
@@ -237,10 +237,10 @@ def test_mva_numpy_within_registered_tolerance():
     checked = 0
     for config in sampled_configs(seed=15, count=60):
         try:
-            ref = solve_mva(config.dims, config.classes, kernel="python")
+            ref = reference.solve_mva(config.dims, config.classes)
         except Exception:
             continue  # smooth-stability guard etc. — covered by fuzz
-        new = solve_mva(config.dims, config.classes, kernel="numpy")
+        new = solve_mva(config.dims, config.classes)
         for r in range(len(config.classes)):
             for measure in ("blocking", "concurrency", "call_acceptance"):
                 a = getattr(ref, measure)(r)
@@ -257,13 +257,13 @@ def test_mva_numpy_within_registered_tolerance():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", kernels.KERNEL_FAMILIES)
+@pytest.mark.parametrize("kernel", tuple(SOLVERS))
 @pytest.mark.parametrize("mode", ("log", "scaled", "float"))
 def test_base_row_is_inverse_factorial(mode, kernel):
-    """``Q(n1, 0) = 1/n1!`` byte-exactly in every mode and family."""
+    """``Q(n1, 0) = 1/n1!`` byte-exactly in every mode, kernel and oracle."""
     dims = SwitchDimensions(12, 3)
-    lq = log_q_grid(
-        dims, (TrafficClass.poisson(0.1),), mode=mode, kernel=kernel
+    lq = SOLVERS[kernel].log_q_grid(
+        dims, (TrafficClass.poisson(0.1),), mode=mode
     )
     for m in range(dims.n1 + 1):
         want = -math.lgamma(m + 1)
@@ -276,11 +276,11 @@ def test_base_row_is_inverse_factorial(mode, kernel):
             assert lq[m, 0] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("kernel", kernels.KERNEL_FAMILIES)
+@pytest.mark.parametrize("kernel", tuple(SOLVERS))
 @pytest.mark.parametrize("mode", ("log", "scaled", "float"))
 def test_empty_class_set_rejected_identically(mode, kernel):
     with pytest.raises(ConfigurationError):
-        log_q_grid(SwitchDimensions(4, 4), (), mode=mode, kernel=kernel)
+        SOLVERS[kernel].log_q_grid(SwitchDimensions(4, 4), (), mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -324,80 +324,54 @@ def test_vectorized_v_recursion_satisfies_eq9(
 
 
 # ----------------------------------------------------------------------
-# Registry, knob and engine dispatch
+# One production kernel: no knob, no twin methods
 # ----------------------------------------------------------------------
 
 
-def test_numpy_methods_registered():
-    for mode, (old, new) in KERNEL_PAIRS.items():
-        assert old.kernel_family is None
-        assert new.kernel_family == "numpy"
-        assert new.rel_tolerance == old.rel_tolerance
-        if mode in ("log", "scaled", "float"):
-            assert new.convolution_mode == old.convolution_mode == mode
-    assert SolveMethod.CONVOLUTION_NUMPY.is_grid
-    assert SolveMethod.CONVOLUTION_SCALED_NUMPY.is_grid
-    assert not SolveMethod.CONVOLUTION_FLOAT_NUMPY.is_grid
-    assert SolveMethod.coerce("convolution-numpy/log") is (
-        SolveMethod.CONVOLUTION_NUMPY
-    )
-    assert SolveMethod.coerce("convolution-numpy/scaled") is (
-        SolveMethod.CONVOLUTION_SCALED_NUMPY
-    )
+def test_solve_method_has_no_kernel_twins():
+    assert len(SolveMethod) == 8
+    assert not hasattr(SolveMethod, "kernel_family")
+    for name in (
+        "convolution-numpy",
+        "convolution-scaled-numpy",
+        "convolution-float-numpy",
+        "mva-numpy",
+        "convolution-numpy/log",
+    ):
+        with pytest.raises(ConfigurationError):
+            SolveMethod.coerce(name)
 
 
 def test_engine_dispatch_routes_kernel_family():
+    """Engine requests, default method included, run the NumPy kernels,
+    bitwise equal to the oracle."""
     from repro.api import SolveRequest
     from repro.engine import BatchSolver, EngineConfig
 
     classes = (TrafficClass.poisson(0.05),)
     engine = BatchSolver(EngineConfig())
-    ref = engine.solution_for(
-        SolveRequest.square(6, classes, method=SolveMethod.CONVOLUTION)
-    )
-    new = engine.solution_for(
-        SolveRequest.square(6, classes, method=SolveMethod.CONVOLUTION_NUMPY)
-    )
-    assert ref.method == new.method == "convolution/log"
-    assert (ref.kernel, new.kernel) == ("python", "numpy")
-    assert np.array_equal(ref.log_q, new.log_q)
-    mva_new = engine.solution_for(
-        SolveRequest.square(6, classes, method=SolveMethod.MVA_NUMPY)
-    )
-    assert mva_new.method == "mva" and mva_new.kernel == "numpy"
-
-
-def test_kernel_knob_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    assert default_kernel() == "python"
-    monkeypatch.setenv("REPRO_KERNELS", "numpy")
-    assert default_kernel() == "numpy"
-    previous = set_default_kernel("python")
-    try:
-        assert previous is None
-        assert default_kernel() == "python"  # override beats env
-        assert resolve_kernel(None) == "python"
-        assert resolve_kernel("numpy") == "numpy"
-    finally:
-        set_default_kernel(previous)
-    assert default_kernel() == "numpy"  # env visible again
-    with pytest.raises(ConfigurationError):
-        resolve_kernel("fortran")
-    monkeypatch.setenv("REPRO_KERNELS", "cython")
-    with pytest.raises(ConfigurationError):
-        default_kernel()
+    request = SolveRequest.square(6, classes)
+    assert request.method is SolveMethod.CONVOLUTION
+    solution = engine.solution_for(request)
+    assert solution.method == "convolution/log"
+    assert solution.kernel == "numpy"
+    oracle = reference.solve_convolution(request.dims, classes)
+    assert oracle.kernel == "python"
+    assert np.array_equal(solution.log_q, oracle.log_q)
+    mva = engine.solution_for(request.with_method(SolveMethod.MVA))
+    assert mva.method == "mva" and mva.kernel == "numpy"
 
 
 def test_knob_selects_numpy_for_default_calls():
-    previous = set_default_kernel("numpy")
-    try:
-        solution = solve_convolution(
-            SwitchDimensions(5, 5), (TrafficClass.poisson(0.1),)
-        )
-        assert solution.kernel == "numpy"
-        assert solution.method == "convolution/log"  # label unchanged
-    finally:
-        set_default_kernel(previous)
+    """With no configuration, a default solver call runs NumPy."""
+    solution = solve_convolution(
+        SwitchDimensions(5, 5), (TrafficClass.poisson(0.1),)
+    )
+    assert solution.kernel == "numpy"
+    assert solution.method == "convolution/log"  # label unchanged
+    assert solve_mva(
+        SwitchDimensions(5, 5), (TrafficClass.poisson(0.1),)
+    ).kernel == "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -440,96 +414,86 @@ def test_broken_numpy_kernel_is_shrunk_to_json_reproducer(
     assert repros, "no JSON reproducer written"
     payload = json.loads(repros[0].read_text())
     assert payload["kind"] == "differential"
-    # The broken log sweep feeds every numpy convolution family member,
-    # so the disagreeing pair names at least one "-numpy" method.
-    assert "-numpy" in payload["label"], payload["label"]
+    # The broken log sweep feeds the production log method, so the
+    # disagreeing pair names it.
+    assert "convolution" in payload["label"].split(" vs "), payload["label"]
     # Shrunk: the reproducer config never grew past the sampler's range.
     assert payload["config"]["n1"] * payload["config"]["n2"] <= 49
 
 
 # ----------------------------------------------------------------------
-# Golden corpus stays green under both kernel families
+# Golden corpus stays green on the production solvers and the oracle
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", kernels.KERNEL_FAMILIES)
+@pytest.mark.parametrize("kernel", tuple(SOLVERS))
 def test_kernel_edges_golden_green_for_family(kernel):
     from repro.verify.corpus import GoldenCorpus
     from repro.workloads.kernel_edges import kernel_edges_record
 
     corpus = GoldenCorpus(Path(__file__).parent / "golden")
-    corpus.check("kernel_edges", kernel_edges_record(kernel))
+    corpus.check("kernel_edges", kernel_edges_record(SOLVERS[kernel]))
 
 
 # ----------------------------------------------------------------------
-# Service wire path: byte-identical /solve envelopes, numpy selected
+# Service wire path: /solve envelopes byte-identical to the oracle
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.service
 def test_service_solve_bytes_identical_across_kernel_families():
-    """Table 1 configs served with the NumPy kernels produce the exact
-    same ``"result"`` fragment bytes as a pure-python daemon.
+    """Table 1 configs served by a default daemon (NumPy kernels)
+    produce the exact ``"result"`` fragment bytes that ``encode_result``
+    gives for an oracle (pure-python sweep) solve.
 
     The default method is ``convolution`` (log mode), where the kernel
     contract is *bitwise* — so the serialized result must match byte
-    for byte.  The kernel knob is process-wide and the two daemons
-    share this process, so they run sequentially, each under its own
-    knob setting.  Envelope fields that legitimately vary (request id,
+    for byte.  Envelope fields that legitimately vary (request id,
     ``elapsed_ms``) are outside the compared fragment.
     """
     import http.client
 
+    from repro.api import SolveRequest, SolveResult
     from repro.engine import BatchSolver, EngineConfig
     from repro.service import ServiceConfig, start_in_thread
+    from repro.service.protocol import encode_result
     from repro.workloads.scenarios import TABLE1_PAPER
 
-    def table1_requests():
-        from repro.api import SolveRequest
-
-        requests = []
-        for n in (4, 8, 16):
-            rho1, rho2 = TABLE1_PAPER[n]
-            for rho, a in ((rho1, 1), (rho2, 2)):
-                requests.append(
-                    SolveRequest.square(
-                        n,
-                        [
-                            TrafficClass.from_aggregate(
-                                rho, 0.0, n2=n, mu=1.0, a=a
-                            )
-                        ],
-                    )
+    requests = []
+    for n in (4, 8, 16):
+        rho1, rho2 = TABLE1_PAPER[n]
+        for rho, a in ((rho1, 1), (rho2, 2)):
+            requests.append(
+                SolveRequest.square(
+                    n,
+                    [TrafficClass.from_aggregate(rho, 0.0, n2=n, mu=1.0, a=a)],
                 )
-        return requests
+            )
 
-    def result_fragments(family):
-        previous = set_default_kernel(family)
-        handle = start_in_thread(
-            ServiceConfig(port=0, batch_window=0.0),
-            engine=BatchSolver(EngineConfig()),
-        )
-        try:
-            conn = http.client.HTTPConnection(*handle.address)
-            fragments = []
-            for request in table1_requests():
-                body = json.dumps({"request": request.to_dict()})
-                conn.request(
-                    "POST", "/solve", body,
-                    {"Content-Type": "application/json"},
-                )
-                raw = conn.getresponse().read()
-                head = raw.index(b'"result": ') + len(b'"result": ')
-                tail = raw.index(b', "coalesced"')
-                fragments.append(raw[head:tail])
-            conn.close()
-            return fragments
-        finally:
-            handle.stop()
-            set_default_kernel(previous)
+    handle = start_in_thread(
+        ServiceConfig(port=0, batch_window=0.0),
+        engine=BatchSolver(EngineConfig()),
+    )
+    try:
+        conn = http.client.HTTPConnection(*handle.address)
+        served = []
+        for request in requests:
+            body = json.dumps({"request": request.to_dict()})
+            conn.request(
+                "POST", "/solve", body, {"Content-Type": "application/json"}
+            )
+            raw = conn.getresponse().read()
+            head = raw.index(b'"result": ') + len(b'"result": ')
+            tail = raw.index(b', "coalesced"')
+            served.append(raw[head:tail])
+        conn.close()
+    finally:
+        handle.stop()
 
-    python_bytes = result_fragments("python")
-    numpy_bytes = result_fragments("numpy")
-    assert len(python_bytes) == 6
-    for i, (ref, new) in enumerate(zip(python_bytes, numpy_bytes)):
-        assert ref == new, f"request {i}: wire bytes diverged"
+    assert len(served) == 6
+    for i, (request, got) in enumerate(zip(requests, served)):
+        oracle = reference.solve_convolution(request.dims, request.classes)
+        want = json.dumps(
+            encode_result(SolveResult.from_solution(request, oracle))
+        ).encode("utf-8")
+        assert got == want, f"request {i}: wire bytes diverged from oracle"

@@ -129,3 +129,24 @@ def test_histogram_quantile_estimate_brackets_observations():
     assert hist.quantile(0.25) == 0.01
     assert hist.quantile(0.75) == 1.0
     assert hist.quantile(1.0) == math.inf
+
+
+def test_kernel_scaled_fallbacks_gauge_reads_counter_at_render():
+    """``repro_kernel_scaled_fallbacks`` exports the scaled kernel's
+    fallback counter, read at scrape time rather than at start-up."""
+    from repro.core.kernels import scaled_fallback_count, sweep_scaled
+    from repro.core.state import SwitchDimensions
+    from repro.core.traffic import TrafficClass
+    from repro.engine import BatchSolver, EngineConfig
+    from repro.service.gate import AdmissionGate
+    from repro.service.server import _Instruments
+
+    registry = MetricsRegistry()
+    _Instruments(registry, AdmissionGate(4), BatchSolver(EngineConfig()))
+    name = "repro_kernel_scaled_fallbacks"
+    before = parse_samples(registry.render())[name]
+    assert int(before) == scaled_fallback_count()
+    # Past the 1/n1! float64 cliff the scaled kernel falls back.
+    sweep_scaled(SwitchDimensions(185, 2), (TrafficClass.poisson(0.05),))
+    after = parse_samples(registry.render())[name]
+    assert int(after) == int(before) + 1 == scaled_fallback_count()

@@ -53,7 +53,9 @@ class TestRunSweep:
             name="s", sizes=[3], classes_for=_classes,
             measures=("blocking",), solver=solve_mva,
         )
-        assert run_sweep(spec)[0]["blocking[p]"] > 0.0
+        with pytest.warns(DeprecationWarning, match="SweepSpec.solver"):
+            rows = run_sweep(spec)
+        assert rows[0]["blocking[p]"] > 0.0
 
     def test_unknown_measure_rejected(self):
         spec = SweepSpec(
