@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--batch-window", type=float, default=None, metavar="SECONDS",
-        help="micro-batch collection window (default 2ms)",
+        help="seconds an idle micro-batcher holds a request before "
+             "flushing (default 0: flush on the next loop turn)",
     )
     p.add_argument(
         "--max-batch", type=int, default=None, metavar="N",
@@ -938,7 +939,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving on http://{config.host}:{config.port} "
             f"(gate {config.gate_capacity} tokens, "
-            f"window {config.batch_window:g}s; Ctrl-C to stop)"
+            f"batch window {config.batch_window:g}s; Ctrl-C to stop)"
         )
     try:
         # On 3.11+ asyncio.run turns Ctrl-C into a cancellation that the

@@ -13,9 +13,10 @@ admission-controlled the way the paper's crossbar admits calls:
 * **request coalescing** — concurrent identical requests (same
   canonical key from :mod:`repro.engine.keys`) share one in-flight
   engine computation (:class:`~repro.service.coalesce.SingleFlight`);
-* **micro-batching** — requests arriving within a small window are
-  flushed as a single :meth:`~repro.engine.BatchSolver.evaluate_many`
-  call, inheriting Q-grid sharing and the process pool
+* **micro-batching** — requests queued together (in one event-loop
+  turn, or while the previous flush computes) are flushed as a single
+  :meth:`~repro.engine.BatchSolver.evaluate_many` call, inheriting
+  Q-grid sharing and the process pool
   (:class:`~repro.service.batcher.MicroBatcher`);
 * **observability** — a hand-rolled Prometheus ``/metrics`` page
   (:mod:`repro.service.metrics`) plus per-request ids through

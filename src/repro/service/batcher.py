@@ -1,27 +1,38 @@
-"""Micro-batching: nearby requests become one engine batch.
+"""Micro-batching: requests queued together become one engine batch.
 
-Requests that arrive within ``window`` seconds of each other are
-flushed as a single :meth:`~repro.engine.BatchSolver.evaluate_many`
-call, so wire-level traffic inherits the engine's batch economics:
-size sweeps collapse onto one shared Algorithm 1 Q-grid, cache misses
-fan out over the process pool, and every flush produces one
-:class:`~repro.engine.BatchMetrics`.
+Pending requests are flushed as a single
+:meth:`~repro.engine.BatchSolver.evaluate_many` call, so wire-level
+traffic inherits the engine's batch economics: size sweeps collapse onto
+one shared Algorithm 1 Q-grid, cache misses fan out over the process
+pool, and every flush produces one :class:`~repro.engine.BatchMetrics`.
 
-The flush runner executes on a single dedicated worker thread: the
+The flush runner executes on a single dedicated worker thread (the
 engine is thread-safe, but serializing flushes keeps its metrics
-attribution exact and lets the next batch accumulate while the current
-one computes — under load the batches grow on their own, which is the
-whole point of the window.
+attribution exact), and the batcher waits only when there is a reason
+to:
+
+* **Idle worker** — the first ``submit`` arms a flush ``window``
+  seconds out.  With the default window of 0 it fires on the next loop
+  turn, so every request submitted in the same turn (the gathered
+  members of one ``/batch``, say) shares the flush and nothing waits
+  on a timer.
+* **Busy worker** — while a flush computes, submits only accumulate;
+  its completion re-arms the flush for everything pending.  Under load
+  the batches grow on their own, one flush at a time.
+
+A positive ``window`` adds that fixed hold before each flush, and an
+idle worker flushes at once when ``max_batch`` requests are pending.
 
 Resilience
 ----------
 * **Deadlines** — ``submit`` accepts an absolute ``deadline``
-  (``time.monotonic()`` instant).  A member whose deadline has already
-  passed when its flush starts is dropped — its future resolves with
-  :class:`RequestExpiredError` instead of occupying a batch slot — and
-  when *every* live member carries a deadline, the flush forwards the
-  latest remaining budget to the runner so the engine can abandon
-  attempts no client is still waiting for.
+  (``time.monotonic()`` instant).  Expiry is judged on the worker
+  thread the moment the runner starts: a member whose deadline has
+  passed by then (including one that waited behind a computing flush)
+  is dropped — its future resolves with :class:`RequestExpiredError`
+  instead of occupying a batch slot — and when *every* live member
+  carries a deadline, the runner receives the latest remaining budget
+  so the engine can abandon attempts no client is still waiting for.
 * **Worker supervision** — a flush whose runner dies with an
   infrastructure error (not a solver error: the engine runs non-strict
   and returns :class:`~repro.engine.FailedResult` envelopes for those)
@@ -35,7 +46,7 @@ import asyncio
 import inspect
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..api import SolveRequest
 from ..exceptions import ComputationError
@@ -48,36 +59,49 @@ class BatcherClosedError(ComputationError):
 
 
 class RequestExpiredError(ComputationError):
-    """The request's deadline passed before its flush started."""
+    """The request's deadline passed before its runner started."""
+
+
+class _Member(NamedTuple):
+    """One queued request."""
+
+    request: SolveRequest
+    future: asyncio.Future
+    #: Absolute ``time.monotonic()`` deadline, or None (unbounded).
+    deadline: float | None
+    #: ``time.monotonic()`` at ``submit``.
+    queued_at: float
 
 
 class MicroBatcher:
-    """Collects ``(request, future, deadline)`` entries and flushes them
-    together."""
+    """Queues ``(request, future, deadline)`` entries and flushes them
+    together, one flush at a time."""
 
     def __init__(
         self,
         runner: Callable[..., list[Any]],
         *,
-        window: float = 0.002,
+        window: float = 0.0,
         max_batch: int = 256,
         observer: Callable[[int, float], None] | None = None,
+        wait_observer: Callable[[float], None] | None = None,
     ) -> None:
         self._runner = runner
         self.window = max(0.0, float(window))
         self.max_batch = max(1, int(max_batch))
         self._observer = observer
-        self._pending: list[
-            tuple[SolveRequest, asyncio.Future, float | None]
-        ] = []
+        #: Called per served member with its queue wait in seconds
+        #: (``submit`` to its runner starting).
+        self._wait_observer = wait_observer
+        self._pending: list[_Member] = []
         self._timer: asyncio.TimerHandle | None = None
-        self._flushes: set[asyncio.Task] = set()
-        self._flush_began: dict[asyncio.Task, float] = {}
+        self._flushing: asyncio.Task | None = None
+        self._flush_began: float | None = None
         self._executor = self._new_executor()
         self._closed = False
         self.flush_count = 0
         self.batched_requests = 0
-        #: Members dropped at flush time because their deadline passed.
+        #: Members dropped at runner start because their deadline passed.
         self.expired_requests = 0
         #: Times the worker executor was rebuilt after a runner death.
         self.worker_respawns = 0
@@ -114,8 +138,8 @@ class MicroBatcher:
         """Queue one request; ``future`` resolves with its result.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant; a
-        member still queued when it passes is dropped at flush time
-        (future resolves with :class:`RequestExpiredError`).
+        member whose deadline has passed when its runner starts is
+        dropped (future resolves with :class:`RequestExpiredError`).
 
         A terminally failing request resolves its future with the
         engine's :class:`~repro.engine.FailedResult` envelope (the
@@ -127,33 +151,40 @@ class MicroBatcher:
                 BatcherClosedError("service is shutting down")
             )
             return
-        self._pending.append((request, future, deadline))
-        loop = asyncio.get_running_loop()
+        self._pending.append(
+            _Member(request, future, deadline, time.monotonic())
+        )
+        self._arm()
+
+    def _arm(self) -> None:
+        """Schedule a flush of the queue unless one is computing.
+
+        A computing flush re-arms on completion, so submits made
+        meanwhile only accumulate.  An idle worker flushes ``window``
+        seconds after the first submit, or at once when ``max_batch``
+        requests are pending.
+        """
+        if self._closed or self._flushing is not None or not self._pending:
+            return
         if len(self._pending) >= self.max_batch:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
             self._start_flush()
         elif self._timer is None:
-            self._timer = loop.call_later(self.window, self._window_expired)
-
-    def _window_expired(self) -> None:
-        self._timer = None
-        if self._pending:
-            self._start_flush()
+            self._timer = asyncio.get_running_loop().call_later(
+                self.window, self._start_flush
+            )
 
     def flush_pending(self) -> None:
-        """Flush the queue right now (drain path: no window to wait)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if self._pending:
-            self._start_flush()
+        """Flush the queue right now, skipping the window (drain path).
+
+        While a flush computes this does nothing: that flush's
+        completion re-arms the queue.
+        """
+        self._start_flush()
 
     @property
     def busy(self) -> bool:
-        """Whether any request is queued or any flush is computing."""
-        return bool(self._pending or self._flushes)
+        """Whether any request is queued or a flush is computing."""
+        return bool(self._pending or self._flushing)
 
     @property
     def queue_depth(self) -> int:
@@ -162,110 +193,122 @@ class MicroBatcher:
 
     @property
     def worker_lag(self) -> float:
-        """Age in seconds of the oldest in-flight flush (0.0 if idle).
+        """Age in seconds of the in-flight flush (0.0 if idle).
 
         The brownout controller reads this as the batch-worker lag: a
-        flush that has been computing for a long time means new windows
+        flush that has been computing for a long time means requests
         are piling up behind a slow (or wedged) engine.
         """
-        if not self._flush_began:
+        if self._flush_began is None:
             return 0.0
-        return time.monotonic() - min(self._flush_began.values())
+        return time.monotonic() - self._flush_began
+
+    def _cancel_timer(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def _start_flush(self) -> None:
-        batch, self._pending = self._pending, []
-        task = asyncio.get_running_loop().create_task(self._flush(batch))
-        self._flushes.add(task)
-        self._flush_began[task] = time.monotonic()
+        self._cancel_timer()
+        if self._flushing is not None or not self._pending:
+            return
+        batch = self._pending[:self.max_batch]
+        del self._pending[:self.max_batch]
+        self._flush_began = time.monotonic()
+        self._flushing = asyncio.get_running_loop().create_task(
+            self._flush(batch)
+        )
+        self._flushing.add_done_callback(self._flush_done)
 
-        def _done(finished: asyncio.Task) -> None:
-            self._flushes.discard(finished)
-            self._flush_began.pop(finished, None)
-
-        task.add_done_callback(_done)
+    def _flush_done(self, _task: asyncio.Task) -> None:
+        self._flushing = None
+        self._flush_began = None
+        self._arm()
 
     # ------------------------------------------------------------------
 
-    def _expire(
-        self, batch: list[tuple[SolveRequest, asyncio.Future, float | None]]
-    ) -> tuple[
-        list[tuple[SolveRequest, asyncio.Future, float | None]],
-        float | None,
-    ]:
-        """Drop already-expired members; compute the batch budget.
+    def _run(
+        self, batch: list[_Member], loop: asyncio.AbstractEventLoop
+    ) -> tuple[list[_Member], list[Any], float]:
+        """The worker thread's side of a flush: expire, then run.
 
-        Returns the live members and the wall-clock budget (seconds) to
-        forward to the runner: the *latest* remaining deadline when
+        Expiry and the budget are judged here, when the runner starts:
+        the budget forwarded is the *latest* remaining deadline when
         every live member has one (an attempt running past it serves
-        nobody), else None (some member is unbounded).
+        nobody), else None (some member is unbounded).  Returns the
+        members served, their results and the runner's start instant.
         """
         now = time.monotonic()
-        live: list[tuple[SolveRequest, asyncio.Future, float | None]] = []
-        for request, future, deadline in batch:
-            if deadline is not None and now >= deadline:
-                self.expired_requests += 1
-                if not future.done():
-                    future.set_exception(
-                        RequestExpiredError(
-                            "deadline passed before the batch flushed"
-                        )
-                    )
-                continue
-            live.append((request, future, deadline))
+        live: list[_Member] = []
+        expired: list[_Member] = []
+        for member in batch:
+            if member.deadline is not None and now >= member.deadline:
+                expired.append(member)
+            else:
+                live.append(member)
+        if expired:
+            loop.call_soon_threadsafe(self._expire, expired)
+        if not live:
+            return live, [], now
         budget: float | None = None
-        if live and all(deadline is not None for _, _, deadline in live):
-            budget = max(deadline for _, _, deadline in live) - now
-        return live, budget
-
-    def _run(
-        self, requests: list[SolveRequest], budget: float | None
-    ) -> list[Any]:
+        if all(member.deadline is not None for member in live):
+            budget = max(member.deadline for member in live) - now
+        requests = [member.request for member in live]
         # Arity is probed per call: tests swap ``_runner`` for plain
         # single-argument stubs after construction.
         if self._accepts_deadline(self._runner):
-            return self._runner(requests, budget)
-        return self._runner(requests)
+            return live, self._runner(requests, budget), now
+        return live, self._runner(requests), now
 
-    async def _flush(
-        self,
-        batch: list[tuple[SolveRequest, asyncio.Future, float | None]],
-    ) -> None:
+    def _expire(self, members: list[_Member]) -> None:
+        self.expired_requests += len(members)
+        for member in members:
+            if not member.future.done():
+                member.future.set_exception(
+                    RequestExpiredError(
+                        "deadline passed before the batch runner started"
+                    )
+                )
+
+    async def _flush(self, batch: list[_Member]) -> None:
         loop = asyncio.get_running_loop()
-        batch, budget = self._expire(batch)
-        if not batch:
-            return
-        requests = [request for request, _, _ in batch]
         began = time.perf_counter()
         try:
-            results = await loop.run_in_executor(
-                self._executor, self._run, requests, budget
+            served, results, started = await loop.run_in_executor(
+                self._executor, self._run, batch, loop
             )
         except asyncio.CancelledError:  # pragma: no cover - loop teardown
             raise
         except BaseException as first:  # noqa: BLE001 - supervised below
             # The runner itself died (infrastructure, not a solver
             # error).  Supervise: rebuild the worker executor and rerun
-            # this batch once before giving up.
+            # this batch once — minus members already answered (expired
+            # at the first start) — before giving up.
             if self._closed:
                 self._relay_failure(batch, first)
                 return
             self._respawn_executor()
+            batch = [member for member in batch if not member.future.done()]
             try:
-                results = await loop.run_in_executor(
-                    self._executor, self._run, requests, budget
+                served, results, started = await loop.run_in_executor(
+                    self._executor, self._run, batch, loop
                 )
             except asyncio.CancelledError:  # pragma: no cover
                 raise
             except BaseException as second:  # noqa: BLE001 - relayed
                 self._relay_failure(batch, second)
                 return
+        if not served:
+            return
         self.flush_count += 1
-        self.batched_requests += len(batch)
+        self.batched_requests += len(served)
         if self._observer is not None:
-            self._observer(len(batch), time.perf_counter() - began)
-        for (_, future, _), result in zip(batch, results):
-            if not future.done():
-                future.set_result(result)
+            self._observer(len(served), time.perf_counter() - began)
+        for member, result in zip(served, results):
+            if self._wait_observer is not None:
+                self._wait_observer(started - member.queued_at)
+            if not member.future.done():
+                member.future.set_result(result)
 
     def _respawn_executor(self) -> None:
         self.worker_respawns += 1
@@ -273,28 +316,23 @@ class MicroBatcher:
         old.shutdown(wait=False)
 
     @staticmethod
-    def _relay_failure(
-        batch: list[tuple[SolveRequest, asyncio.Future, float | None]],
-        exc: BaseException,
-    ) -> None:
-        for _, future, _ in batch:
-            if not future.done():
-                future.set_exception(exc)
+    def _relay_failure(batch: list[_Member], exc: BaseException) -> None:
+        for member in batch:
+            if not member.future.done():
+                member.future.set_exception(exc)
 
     # ------------------------------------------------------------------
 
     async def close(self) -> None:
-        """Stop accepting work, fail the queue, drain in-flight flushes."""
+        """Stop accepting work, fail the queue, drain the in-flight flush."""
         self._closed = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._cancel_timer()
         pending, self._pending = self._pending, []
-        for _, future, _ in pending:
-            if not future.done():
-                future.set_exception(
+        for member in pending:
+            if not member.future.done():
+                member.future.set_exception(
                     BatcherClosedError("service is shutting down")
                 )
-        if self._flushes:
-            await asyncio.gather(*list(self._flushes), return_exceptions=True)
+        if self._flushing is not None:
+            await asyncio.gather(self._flushing, return_exceptions=True)
         self._executor.shutdown(wait=False)

@@ -160,9 +160,12 @@ class ServiceConfig:
     #: Tokens per member of a ``/batch`` request (total clamped to the
     #: gate capacity, like ``a_r <= min(N1, N2)``).
     batch_member_weight: int = 1
-    #: Seconds the micro-batcher waits for companions before flushing.
-    batch_window: float = 0.002
-    #: Flush immediately once this many requests are pending.
+    #: Seconds an idle micro-batcher holds its first pending request
+    #: before flushing.  0 flushes on the next event-loop turn; under
+    #: load batches grow while the previous flush computes.
+    batch_window: float = 0.0
+    #: Most requests one flush carries; an idle micro-batcher flushes
+    #: at once when this many are pending.
     max_batch: int = 256
     #: Forwarded to ``evaluate_many`` (None: the engine decides).
     parallel: bool | None = None

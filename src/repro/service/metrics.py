@@ -25,6 +25,7 @@ __all__ = [
     "MetricsRegistry",
     "LATENCY_BUCKETS",
     "BATCH_SIZE_BUCKETS",
+    "QUEUE_WAIT_BUCKETS",
 ]
 
 #: Request-latency buckets (seconds): sub-millisecond cache hits up to
@@ -36,6 +37,14 @@ LATENCY_BUCKETS = (
 
 #: Micro-batch size buckets (requests per flush).
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+#: Micro-batch queue-wait buckets (seconds): a next-turn flush waits
+#: tens of microseconds, one queued behind a computing flush waits
+#: about a solve.
+QUEUE_WAIT_BUCKETS = (
+    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+    0.025, 0.05, 0.1, 0.25, 1.0,
+)
 
 
 def _format_value(value: float | int) -> str:

@@ -59,7 +59,7 @@ from .httpio import (
     read_request,
     write_response,
 )
-from .metrics import BATCH_SIZE_BUCKETS, MetricsRegistry
+from .metrics import BATCH_SIZE_BUCKETS, QUEUE_WAIT_BUCKETS, MetricsRegistry
 from .protocol import (
     decode_deadline_ms,
     decode_request,
@@ -157,6 +157,12 @@ class _Instruments:
             "repro_service_batch_size",
             "Requests per micro-batch flush.",
             buckets=BATCH_SIZE_BUCKETS,
+        )
+        self.batch_queue_wait = registry.histogram(
+            "repro_service_batch_queue_wait_seconds",
+            "Micro-batch queue wait: submit to the batch runner starting "
+            "on the flush thread.",
+            buckets=QUEUE_WAIT_BUCKETS,
         )
         self.solve_failures = registry.counter(
             "repro_service_solve_failures_total",
@@ -317,6 +323,7 @@ class SolveService:
             window=self.config.batch_window,
             max_batch=self.config.max_batch,
             observer=self._observe_flush,
+            wait_observer=self.instruments.batch_queue_wait.observe,
         )
         self.brownout = ServicePressureController(
             self.config.brownout,
@@ -1094,17 +1101,17 @@ class SolveService:
 
         Identical in-flight requests share a single engine computation:
         the first becomes the leader (its future is resolved by the
-        batcher), later ones await the same future — including across a
-        batch-window boundary while the leader's flush is still
-        computing.  A leader's terminal failure resolves the future
-        with the engine's :class:`~repro.engine.FailedResult`, so
-        followers receive the same envelope instead of hanging.
+        batcher), later ones await the same future — including while
+        the leader's flush is still computing.  A leader's terminal
+        failure resolves the future with the engine's
+        :class:`~repro.engine.FailedResult`, so followers receive the
+        same envelope instead of hanging.
 
         ``deadline_at`` (absolute ``time.monotonic()``) carries the
         client's ``deadline_ms`` budget: the batcher drops the request
-        if it expires before its flush, and the await itself is bounded
-        (``asyncio.TimeoutError``) — the shield keeps a shared flight
-        alive for its other waiters when this one gives up.
+        if it expires before its runner starts, and the await itself is
+        bounded (``asyncio.TimeoutError``) — the shield keeps a shared
+        flight alive for its other waiters when this one gives up.
         """
         if self.config.hot_cache_fast_path:
             # Cache-hot requests never leave the event loop: a pure

@@ -27,6 +27,7 @@ from repro.engine import BatchSolver, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.methods import SolveMethod
 from repro.service import (
+    BatcherClosedError,
     MicroBatcher,
     ServiceClient,
     ServiceConfig,
@@ -267,6 +268,110 @@ def test_max_batch_flushes_immediately():
 
     asyncio.run(scenario())
     assert flushed == [3]
+
+
+def test_idle_batcher_flushes_one_loop_turn_as_one_batch():
+    """window=0: everything submitted in one turn shares the next-turn
+    flush (the gathered members of a ``/batch`` ride together)."""
+    flushed: list[int] = []
+
+    async def scenario() -> None:
+        batcher = MicroBatcher(
+            lambda requests: [object() for _ in requests],
+            window=0.0,
+            observer=lambda size, _elapsed: flushed.append(size),
+        )
+        loop = asyncio.get_running_loop()
+        futures = [loop.create_future() for _ in range(32)]
+        for n, future in enumerate(futures):
+            batcher.submit(mixed_request(4 + n % 3), future)
+        await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
+        await batcher.close()
+
+    asyncio.run(scenario())
+    assert flushed == [32]
+
+
+def test_busy_batcher_accumulates_into_one_follow_up_flush():
+    """Submits made while a flush computes wait for it, then flush
+    together: no parallel flush queues behind the worker."""
+    entered = threading.Event()
+    release = threading.Event()
+    batches: list[int] = []
+
+    def gated_runner(requests):
+        batches.append(len(requests))
+        entered.set()
+        assert release.wait(5.0), "runner was never released"
+        return [object() for _ in requests]
+
+    async def scenario() -> None:
+        batcher = MicroBatcher(gated_runner, window=0.0)
+        loop = asyncio.get_running_loop()
+        first = loop.create_future()
+        batcher.submit(mixed_request(4), first)
+        assert await loop.run_in_executor(None, entered.wait, 5.0)
+        followers = [loop.create_future() for _ in range(5)]
+        for future in followers:
+            batcher.submit(mixed_request(5), future)
+            await asyncio.sleep(0.002)  # separate loop turns
+        assert batches == [1]
+        assert batcher.queue_depth == len(followers)
+        release.set()
+        await asyncio.wait_for(
+            asyncio.gather(first, *followers), timeout=5.0
+        )
+        await batcher.close()
+        assert batcher.flush_count == 2
+
+    asyncio.run(scenario())
+    assert batches == [1, 5]
+
+
+def test_positive_window_still_holds_for_its_full_length():
+    window = 0.1
+    started: list[float] = []
+    waits: list[float] = []
+
+    def runner(requests):
+        started.append(time.monotonic())
+        return [object() for _ in requests]
+
+    async def scenario() -> float:
+        batcher = MicroBatcher(runner, window=window,
+                               wait_observer=waits.append)
+        future = asyncio.get_running_loop().create_future()
+        submitted = time.monotonic()
+        batcher.submit(mixed_request(4), future)
+        await asyncio.wait_for(future, timeout=5.0)
+        await batcher.close()
+        return submitted
+
+    submitted = asyncio.run(scenario())
+    assert started[0] - submitted >= window - 1e-3
+    assert len(waits) == 1 and waits[0] >= window - 1e-3
+
+
+def test_close_with_next_turn_flush_armed_fails_pending():
+    calls: list[int] = []
+
+    def runner(requests):
+        calls.append(len(requests))
+        return [object() for _ in requests]
+
+    async def scenario() -> MicroBatcher:
+        batcher = MicroBatcher(runner, window=0.0)
+        future = asyncio.get_running_loop().create_future()
+        batcher.submit(mixed_request(4), future)  # arms the next turn
+        await batcher.close()
+        with pytest.raises(BatcherClosedError):
+            await future
+        await asyncio.sleep(0.05)  # any stray flush would fire here
+        return batcher
+
+    batcher = asyncio.run(scenario())
+    assert calls == []
+    assert batcher.flush_count == 0 and not batcher.busy
 
 
 # ----------------------------------------------------------------------

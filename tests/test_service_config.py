@@ -201,7 +201,7 @@ def test_load_precedence_defaults_toml_env_args(tmp_path):
     assert config.port == 9001                    # TOML beats default
     assert config.gate_capacity == 22             # env beats TOML
     assert config.cluster.workers == 4            # args beat env
-    assert config.batch_window == pytest.approx(0.002)  # untouched
+    assert config.batch_window == pytest.approx(0.0)  # untouched
 
 
 def test_for_shard_builds_the_per_worker_view():

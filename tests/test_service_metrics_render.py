@@ -131,6 +131,41 @@ def test_histogram_quantile_estimate_brackets_observations():
     assert hist.quantile(1.0) == math.inf
 
 
+def test_batch_queue_wait_histogram_renders_per_served_request():
+    """``repro_service_batch_queue_wait_seconds`` observes every request
+    a flush serves, from ``submit`` to its runner starting."""
+    import asyncio
+
+    from repro.api import SolveRequest
+    from repro.core.traffic import TrafficClass
+    from repro.engine import BatchSolver, EngineConfig
+    from repro.service import ServiceConfig, SolveService
+
+    async def scenario() -> str:
+        service = SolveService(
+            ServiceConfig(port=0), engine=BatchSolver(EngineConfig())
+        )
+        service.batcher._runner = lambda requests: [None] * len(requests)
+        loop = asyncio.get_running_loop()
+        futures = [loop.create_future() for _ in range(3)]
+        for n, future in enumerate(futures):
+            service.batcher.submit(
+                SolveRequest.square(4 + n, [TrafficClass.poisson(0.01)]),
+                future,
+            )
+        await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
+        await service.batcher.close()
+        return service.registry.render()
+
+    page = asyncio.run(scenario())
+    name = "repro_service_batch_queue_wait_seconds"
+    assert f"# TYPE {name} histogram" in page
+    samples = parse_samples(page)
+    assert int(samples[f"{name}_count"]) == 3
+    assert int(samples[f'{name}_bucket{{le="+Inf"}}']) == 3
+    assert 0.0 <= float(samples[f"{name}_sum"]) < 5.0
+
+
 def test_kernel_scaled_fallbacks_gauge_reads_counter_at_render():
     """``repro_kernel_scaled_fallbacks`` exports the scaled kernel's
     fallback counter, read at scrape time rather than at start-up."""

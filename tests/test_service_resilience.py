@@ -164,6 +164,40 @@ def test_batcher_drops_expired_members_at_flush():
     assert ran == [1]  # only the live member reached the engine
 
 
+def test_batcher_expires_member_queued_behind_computing_flush():
+    """Expiry is judged when the runner starts, not when the flush is
+    scheduled: a member whose deadline passes while it waits behind a
+    computing flush is dropped, never solved on a stale budget."""
+    entered = threading.Event()
+    release = threading.Event()
+    ran: list[int] = []
+
+    def gated_runner(requests, task_deadline):
+        ran.append(len(requests))
+        entered.set()
+        assert release.wait(5.0), "runner was never released"
+        return [object()] * len(requests)
+
+    async def scenario() -> int:
+        batcher = MicroBatcher(gated_runner, window=0.0, max_batch=8)
+        loop = asyncio.get_running_loop()
+        first = loop.create_future()
+        batcher.submit(point_request(4), first)
+        assert await loop.run_in_executor(None, entered.wait, 5.0)
+        late = loop.create_future()
+        batcher.submit(point_request(5), late, time.monotonic() + 0.05)
+        await asyncio.sleep(0.15)  # the deadline passes mid-computation
+        release.set()
+        await asyncio.wait_for(first, timeout=5.0)
+        with pytest.raises(RequestExpiredError):
+            await asyncio.wait_for(late, timeout=5.0)
+        await batcher.close()
+        return batcher.expired_requests
+
+    assert asyncio.run(scenario()) == 1
+    assert ran == [1]  # the late member never reached the runner
+
+
 def test_batcher_respawns_worker_and_requeues_once():
     """A runner death is supervised: rebuild the worker, rerun, serve."""
     calls = {"n": 0}
