@@ -821,10 +821,8 @@ class ClusterSupervisor:
                 ).encode("latin-1")
                 conn_writer.write(head + http.body)
                 await conn_writer.drain()
-                status, headers, body = await asyncio.wait_for(
-                    _read_reply(conn_reader),
-                    timeout=self.cluster.proxy_timeout,
-                )
+                async with asyncio.timeout(self.cluster.proxy_timeout):
+                    status, headers, body = await _read_reply(conn_reader)
             except (ConnectionError, OSError, asyncio.IncompleteReadError,
                     asyncio.TimeoutError) as exc:
                 conn_writer.close()

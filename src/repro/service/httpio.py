@@ -12,7 +12,8 @@ daemon (admission, coalescing, batching) stay testable.
 Timeouts
 --------
 Both directions are clock-bounded so a misbehaving peer cannot pin a
-connection open:
+connection open.  Each bound is an ``asyncio.timeout`` on the calling
+task — one timer handle, no extra task and no extra event-loop turn:
 
 * **reads** — ``read_request(..., timeout=...)`` caps the wall-clock
   spent waiting for the request head and, separately, for the body.
@@ -20,11 +21,13 @@ connection open:
   gets a :class:`HttpError` with status 408 and the connection is
   closed; the request never reaches the admission gate, so it holds
   no tokens.
-* **writes** — ``write_response(..., timeout=...)`` caps the flush.
-  A client that stops reading its reply raises
-  :class:`SlowClientError` (an ``OSError``); the caller treats it as
-  a disconnect and aborts the transport rather than waiting on a
-  full kernel buffer.
+* **writes** — ``write_response(..., timeout=...)`` caps the flush,
+  but only when the kernel did not take the whole reply at once.  A
+  reply that left nothing in the transport buffer has nothing to wait
+  for, so it arms no timer.  A client that stops reading a buffered
+  reply raises :class:`SlowClientError` (an ``OSError``); the caller
+  treats it as a disconnect and aborts the transport rather than
+  waiting on a full kernel buffer.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ async def _read_bounded(awaitable, timeout: float | None, what: str):
     if timeout is None or timeout <= 0:
         return await awaitable
     try:
-        return await asyncio.wait_for(awaitable, timeout)
-    except asyncio.TimeoutError as exc:
+        async with asyncio.timeout(timeout):
+            return await awaitable
+    except TimeoutError as exc:
         raise HttpError(
             408, f"timed out after {timeout:.3g}s reading the {what}"
         ) from exc
@@ -175,11 +179,12 @@ async def write_response(
 ) -> None:
     """Serialize one response and flush it (connection stays ours).
 
-    ``timeout`` bounds the flush; a peer that stops draining its
-    receive buffer raises :class:`SlowClientError` so the caller can
-    abort the transport instead of blocking on it.  ``close=False``
-    advertises ``Connection: keep-alive`` so the peer may reuse the
-    connection for its next request.
+    ``timeout`` bounds the flush when the kernel did not take the
+    whole reply; a peer that stops draining its receive buffer raises
+    :class:`SlowClientError` so the caller can abort the transport
+    instead of blocking on it.  ``close=False`` advertises
+    ``Connection: keep-alive`` so the peer may reuse the connection
+    for its next request.
     """
     reason = _REASONS.get(status, "Unknown")
     lines = [
@@ -192,12 +197,18 @@ async def write_response(
         lines.append(f"{name}: {value}")
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
     writer.write(head + body)
-    if timeout is None or timeout <= 0:
+    if (
+        timeout is None or timeout <= 0
+        or writer.transport.get_write_buffer_size() == 0
+    ):
+        # Nothing left buffered: this drain cannot block, and it still
+        # raises if the connection was lost.
         await writer.drain()
         return
     try:
-        await asyncio.wait_for(writer.drain(), timeout)
-    except asyncio.TimeoutError as exc:
+        async with asyncio.timeout(timeout):
+            await writer.drain()
+    except TimeoutError as exc:
         raise SlowClientError(
             f"client did not drain the reply within {timeout:.3g}s"
         ) from exc

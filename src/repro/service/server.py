@@ -1144,7 +1144,8 @@ class SolveService:
         if remaining <= 0:
             shielded.cancel()
             raise asyncio.TimeoutError
-        return await asyncio.wait_for(shielded, remaining)
+        async with asyncio.timeout(remaining):
+            return await shielded
 
     def _run_batch(
         self,

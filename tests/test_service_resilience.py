@@ -329,7 +329,20 @@ def test_deadline_504_reported_on_metrics():
 # ----------------------------------------------------------------------
 
 
-def test_slow_loris_is_cut_off_by_read_timeout():
+_HEAD_STALL = b"POST /solve HTTP/1.1\r\n"
+# A complete head promising 100 body bytes, then 10 of them and silence.
+_BODY_STALL = (
+    b"POST /solve HTTP/1.1\r\n"
+    b"Content-Type: application/json\r\n"
+    b"Content-Length: 100\r\n\r\n"
+    + b"{" * 10
+)
+
+
+@pytest.mark.parametrize(
+    "partial", [_HEAD_STALL, _BODY_STALL], ids=["head", "body"]
+)
+def test_slow_loris_is_cut_off_by_read_timeout(partial):
     with start_in_thread(
         quiet_config(read_timeout=0.2),
         engine=BatchSolver(EngineConfig()),
@@ -338,7 +351,7 @@ def test_slow_loris_is_cut_off_by_read_timeout():
             ServiceFaultPlan.from_seed(11, stalls=1)
         )
         began = time.monotonic()
-        sock = injector.stalled_socket(*handle.address)
+        sock = injector.stalled_socket(*handle.address, partial=partial)
         try:
             sock.settimeout(5.0)
             raw = b""
