@@ -142,23 +142,46 @@ class SolveRequest:
         requests differing only by class permutation share one key (and
         therefore one cached solve).  Memoized on the (frozen)
         instance: the serving hot path reads it several times per
-        request and the canonicalization is not free.
+        request and the canonicalization is not free.  Requests made by
+        :meth:`with_dims` and :meth:`with_method` carry the traffic-mix
+        part along with the class tuple, so a chain of derived requests
+        (a decoded sweep) canonicalizes its mix once, not once per
+        point.
         """
         key = self.__dict__.get("_cache_key_memo")
         if key is None:
             from .engine.keys import request_key
 
-            key = request_key(self.dims, self.classes, self.method)
+            key = request_key(
+                self.dims, self.classes, self.method,
+                self.__dict__.get("_mix_key_memo"),
+            )
             object.__setattr__(self, "_cache_key_memo", key)
         return key
 
+    def _same_mix(self, derived: "SolveRequest") -> "SolveRequest":
+        """``derived`` (built on this class tuple) with its mix key.
+
+        Only the derived request keeps it: a request nothing derives
+        from holds no second copy of its mix in the engine's caches.
+        """
+        mix = self.__dict__.get("_mix_key_memo")
+        if mix is None:
+            from .engine.keys import classes_key
+
+            mix = classes_key(self.classes)
+        object.__setattr__(derived, "_mix_key_memo", mix)
+        return derived
+
     def with_dims(self, dims: "SwitchDimensions | int") -> "SolveRequest":
         """Same traffic and method on a different switch."""
-        return replace(self, dims=_coerce_dims(dims))
+        return self._same_mix(replace(self, dims=_coerce_dims(dims)))
 
     def with_method(self, method: SolveMethod | str) -> "SolveRequest":
         """Same model solved by a different method."""
-        return replace(self, method=SolveMethod.coerce(method))
+        return self._same_mix(
+            replace(self, method=SolveMethod.coerce(method))
+        )
 
     def to_dict(self) -> dict:
         """Flat JSON-ready record (``repro.io`` class schema)."""
@@ -219,7 +242,7 @@ class SolveResult:
         n = len(self.request.classes)
         for name in ("blocking", "concurrency", "acceptance", "throughput"):
             values = getattr(self, name)
-            object.__setattr__(self, name, tuple(float(v) for v in values))
+            object.__setattr__(self, name, tuple(map(float, values)))
             if len(values) != n:
                 raise ConfigurationError(
                     f"{name} has {len(values)} entries for {n} classes"
@@ -272,18 +295,37 @@ class SolveResult:
         the same ``fsum`` formulas as :class:`PerformanceSolution`, so
         they agree bit-for-bit.
         """
+        indices = range(len(request.classes))
+        return cls.from_measures(
+            request,
+            blocking=tuple(solution.blocking(r) for r in indices),
+            concurrency=tuple(solution.concurrency(r) for r in indices),
+            acceptance=tuple(solution.call_acceptance(r) for r in indices),
+            solved_by=solved_by or getattr(solution, "method", ""),
+            elapsed=elapsed,
+        )
+
+    @classmethod
+    def from_measures(
+        cls,
+        request: SolveRequest,
+        blocking: tuple[float, ...],
+        concurrency: tuple[float, ...],
+        acceptance: tuple[float, ...],
+        solved_by: str = "",
+        elapsed: float = 0.0,
+    ) -> "SolveResult":
+        """Build from the per-class measures; aggregates derived here."""
         classes = request.classes
-        indices = range(len(classes))
-        concurrency = tuple(solution.concurrency(r) for r in indices)
         mean_occupancy = math.fsum(
             c.a * e for c, e in zip(classes, concurrency)
         )
         capacity = request.dims.capacity
         return cls(
             request=request,
-            blocking=tuple(solution.blocking(r) for r in indices),
+            blocking=blocking,
             concurrency=concurrency,
-            acceptance=tuple(solution.call_acceptance(r) for r in indices),
+            acceptance=acceptance,
             throughput=tuple(
                 c.mu * e for c, e in zip(classes, concurrency)
             ),
@@ -294,7 +336,7 @@ class SolveResult:
             utilization=(
                 mean_occupancy / capacity if capacity else 0.0
             ),
-            solved_by=solved_by or getattr(solution, "method", ""),
+            solved_by=solved_by,
             elapsed=elapsed,
         )
 

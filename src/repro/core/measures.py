@@ -222,6 +222,66 @@ class PerformanceSolution:
             return 1.0
         return cls.mu * e / (full * offered)
 
+    def read_points(
+        self, points: Sequence[SwitchDimensions]
+    ) -> list[tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]]:
+        """``(blocking, concurrency, call_acceptance)`` tuples per point.
+
+        The batched form of the three per-class accessors for a whole
+        size sweep served from this grid: each class's ``H`` (and
+        ``e_smooth``) cells at every point come from one fancy index,
+        then the accessors' own scalar float operations run per point,
+        so every value is bit-for-bit what :meth:`blocking`,
+        :meth:`concurrency` and :meth:`call_acceptance` return there.
+        """
+        for at in points:
+            self._resolve(at)
+        rows = [at.n1 for at in points]
+        cols = [at.n2 for at in points]
+        blocking, concurrencies, acceptances = [], [], []
+        for r, cls in enumerate(self.classes):
+            h = self.h[r][rows, cols].tolist()
+            full = [
+                permutation(at.n1, cls.a) * permutation(at.n2, cls.a)
+                for at in points
+            ]
+            non_blocking = [
+                0.0 if denom == 0 else hr / denom
+                for hr, denom in zip(h, full)
+            ]
+            if cls.is_poisson:
+                rho = cls.rho
+                concurrency = [rho * hr for hr in h]
+                acceptance = non_blocking
+            else:
+                grid = self.e_smooth.get(r)
+                smooth = (
+                    grid[rows, cols].tolist() if grid is not None
+                    else [math.nan] * len(points)
+                )
+                concurrency = [
+                    self._bursty_concurrency(r, at.n1, at.n2)
+                    if math.isnan(value) else value
+                    for value, at in zip(smooth, points)
+                ]
+                acceptance = []
+                for e, denom in zip(concurrency, full):
+                    if denom == 0:
+                        acceptance.append(0.0)
+                        continue
+                    offered = cls.alpha + cls.beta * e
+                    acceptance.append(
+                        1.0 if offered <= 0.0
+                        else cls.mu * e / (denom * offered)
+                    )
+            blocking.append([1.0 - b for b in non_blocking])
+            concurrencies.append(concurrency)
+            acceptances.append(acceptance)
+        # Per-class columns -> per-point tuples.
+        return list(zip(
+            zip(*blocking), zip(*concurrencies), zip(*acceptances)
+        ))
+
     def call_congestion(self, r: int, at: SwitchDimensions | None = None) -> float:
         """``1 - call_acceptance`` — blocking experienced by arrivals."""
         return 1.0 - self.call_acceptance(r, at)

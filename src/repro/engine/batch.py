@@ -60,6 +60,7 @@ Deterministic fault injection for all of the above lives in
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import threading
@@ -456,32 +457,6 @@ def _supervised_worker(
     if chaos is not None:
         chaos.apply_task(task_index, attempt, in_worker=True)
     return _solve_one(request)
-
-
-class _SubDimsView:
-    """Measure adapter reading a grid solution at a sub-switch.
-
-    Presents the ``blocking(r)/concurrency(r)/call_acceptance(r)``
-    interface :meth:`SolveResult.from_solution` expects, with every
-    query pinned ``at`` the member's dimensions.
-    """
-
-    def __init__(self, solution: PerformanceSolution, at) -> None:
-        self._solution = solution
-        self._at = at
-
-    def blocking(self, r: int) -> float:
-        return self._solution.blocking(r, at=self._at)
-
-    def concurrency(self, r: int) -> float:
-        return self._solution.concurrency(r, at=self._at)
-
-    def call_acceptance(self, r: int) -> float:
-        return self._solution.call_acceptance(r, at=self._at)
-
-    @property
-    def method(self) -> str:
-        return self._solution.method
 
 
 def sliced_solution(
@@ -1078,7 +1053,8 @@ class BatchSolver:
             ),
         )
         self.last_metrics = metrics
-        logger.info("batch evaluated %s", kv(**metrics.to_dict()))
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("batch evaluated %s", kv(**metrics.to_dict()))
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -1325,14 +1301,17 @@ class BatchSolver:
         """
         groups: dict[tuple, list[tuple[int, SolveRequest, str]]] = {}
         leftover: list[tuple[int, SolveRequest, str]] = []
+        # Members decoded from one sweep share their class tuple: render
+        # its exact parameters once, not once per member.
+        params_of: dict[int, tuple] = {}
         for item in misses:
             _, request, _ = item
             if request.method.is_grid:
-                group_key = (
-                    request.method,
-                    tuple(class_params(c) for c in request.classes),
-                )
-                groups.setdefault(group_key, []).append(item)
+                params = params_of.get(id(request.classes))
+                if params is None:
+                    params = tuple(class_params(c) for c in request.classes)
+                    params_of[id(request.classes)] = params
+                groups.setdefault((request.method, params), []).append(item)
             else:
                 leftover.append(item)
 
@@ -1360,16 +1339,18 @@ class BatchSolver:
                 leftover.extend(members)
                 continue
             grid_groups += 1
-            for i, request, key in members:
-                began = time.perf_counter()
-                view = _SubDimsView(solution, request.dims)
-                result = _result_from(
-                    request, view, time.perf_counter() - began
+            began = time.perf_counter()
+            points = solution.read_points([m[1].dims for m in members])
+            elapsed = (time.perf_counter() - began) / len(members)
+            for (i, request, key), measures in zip(members, points):
+                result = SolveResult.from_measures(
+                    request, *measures, solved_by=solution.method,
+                    elapsed=elapsed,
                 )
                 self._store(key, result)
-                self.stats._add("grid_reads")
                 results[i] = result
-                grid_points += 1
+            self.stats._add("grid_reads", len(members))
+            grid_points += len(members)
         return grid_groups, grid_points, leftover
 
     # ------------------------------------------------------------------

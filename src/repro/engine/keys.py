@@ -54,9 +54,15 @@ def request_key(
     dims: SwitchDimensions,
     classes: Sequence[TrafficClass],
     method: SolveMethod,
+    mix: str | None = None,
 ) -> str:
-    """Canonical key of a full request: dims | method | sorted classes."""
-    return f"{dims.n1}x{dims.n2}|{method.value}|{classes_key(classes)}"
+    """Canonical key of a full request: dims | method | sorted classes.
+
+    ``mix`` is ``classes_key(classes)`` when the caller already has it.
+    """
+    if mix is None:
+        mix = classes_key(classes)
+    return f"{dims.n1}x{dims.n2}|{method.value}|{mix}"
 
 
 def key_digest(key: str) -> str:

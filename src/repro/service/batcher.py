@@ -13,9 +13,9 @@ to:
 
 * **Idle worker** — the first ``submit`` arms a flush ``window``
   seconds out.  With the default window of 0 it fires on the next loop
-  turn, so every request submitted in the same turn (the gathered
-  members of one ``/batch``, say) shares the flush and nothing waits
-  on a timer.
+  turn, so every request submitted in the same turn (the members of
+  one ``/batch``, which the server starts in a single pass) shares the
+  flush and nothing waits on a timer.
 * **Busy worker** — while a flush computes, submits only accumulate;
   its completion re-arms the flush for everything pending.  Under load
   the batches grow on their own, one flush at a time.

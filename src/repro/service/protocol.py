@@ -36,8 +36,10 @@ import os
 from typing import Any
 
 from ..api import SolveRequest, SolveResult
+from ..core.state import SwitchDimensions
 from ..engine import FailedResult, TaskAttempt
 from ..exceptions import ConfigurationError
+from ..methods import SolveMethod
 
 __all__ = [
     "decode_deadline_ms",
@@ -105,14 +107,74 @@ def decode_deadline_ms(payload: Any) -> float | None:
 
 
 def decode_request_list(payload: Any) -> list[SolveRequest]:
-    """Parse a batch body: ``{"requests": [...]}`` or a bare list."""
+    """Parse a batch body: ``{"requests": [...]}`` or a bare list.
+
+    A sweep repeats one traffic mix on every record, so a record whose
+    raw ``classes`` list equals the previous record's reuses that
+    record's decoded class tuple (and with it the memoized mix part of
+    the cache key) instead of decoding the list again.  Its dims and
+    method are still parsed and validated, with the messages
+    :func:`decode_request` would give.
+    """
     if isinstance(payload, dict):
         payload = payload.get("requests")
     if not isinstance(payload, list) or not payload:
         raise ConfigurationError(
             "batch payload needs a non-empty 'requests' list"
         )
-    return [decode_request(item) for item in payload]
+    requests: list[SolveRequest] = []
+    previous: SolveRequest | None = None
+    previous_mix: Any = None
+    loose_slots: list[tuple[int, str, str]] | None = None
+    for item in payload:
+        record = item.get("request", item) if isinstance(item, dict) else None
+        mix = record.get("classes") if isinstance(record, dict) else None
+        if (
+            previous is not None
+            and loose_slots is not None
+            and mix == previous_mix
+            and all(repr(mix[i][k]) == r for i, k, r in loose_slots)
+        ):
+            # Derive from the latest record: the mix key travels along.
+            previous = _decode_on_mix(record, previous)
+        else:
+            previous = decode_request(item)
+            previous_mix, loose_slots = mix, _loose_slots(mix)
+        requests.append(previous)
+    return requests
+
+
+def _loose_slots(mix: list) -> list[tuple[int, str, str]] | None:
+    """Where ``==`` on this (decoded) raw mix is looser than decoding.
+
+    ``0.0 == -0.0 == 0 == False`` and ``1 == 1.0 == True``, yet a signed
+    zero decodes to a different class and a name decodes through
+    ``str()``.  Returns the zero-valued numeric slots with the
+    ``repr`` a reusing record must match, or None (never reuse) when a
+    name is not a string.
+    """
+    slots = []
+    for i, record in enumerate(mix):
+        for field_name, value in record.items():
+            if field_name == "name":
+                if type(value) is not str:
+                    return None
+            elif type(value) is not str and value == 0:
+                slots.append((i, field_name, repr(value)))
+    return slots
+
+
+def _decode_on_mix(record: dict, previous: SolveRequest) -> SolveRequest:
+    """``record`` whose raw classes decode to ``previous.classes``."""
+    try:
+        dims = SwitchDimensions(int(record["n1"]), int(record["n2"]))
+        method = SolveMethod.coerce(
+            record.get("method", SolveMethod.CONVOLUTION)
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed solve request: {exc}") from exc
+    request = previous.with_dims(dims)
+    return request if method is request.method else request.with_method(method)
 
 
 # ----------------------------------------------------------------------

@@ -865,10 +865,7 @@ class SolveService:
         began = time.perf_counter()
         self.instruments._inflight_count += 1
         try:
-            outcomes = await asyncio.gather(
-                *(self._execute(r, deadline_at=deadline_at)
-                  for r in requests)
-            )
+            outcomes = await self._execute_all(requests, deadline_at)
             if self.config.min_hold > 0.0:
                 await asyncio.sleep(self.config.min_hold)
         except BatcherClosedError:
@@ -1092,6 +1089,37 @@ class SolveService:
     # Execution: coalesce -> micro-batch -> engine
     # ------------------------------------------------------------------
 
+    def _start(
+        self, request: SolveRequest, deadline_at: float | None
+    ) -> tuple[Any, asyncio.Future | None, bool]:
+        """Serve ``request`` from memory, or join or lead its flight.
+
+        Returns ``(result, None, False)`` for a fast-path hit and
+        ``(None, flight, coalesced)`` otherwise.  Synchronous: a caller
+        can start many requests in one loop turn, so a ``/batch``'s
+        misses share one flush.
+        """
+        if self.config.hot_cache_fast_path:
+            # Cache-hot requests never leave the event loop: a pure
+            # in-memory lookup (no disk, no lock, no thread hop) serves
+            # the same bytes the batcher would.  Admission was already
+            # charged by the caller, so the loss-system contract holds.
+            hit = self.engine.cached_result(request, memory_only=True)
+            if hit is not None:
+                self.instruments.fast_path_hits.inc()
+                return hit, None, False
+        key = request.cache_key
+        future = self.flights.join(key)
+        if future is not None:
+            self.instruments.coalesce_hits.inc()
+            return None, future, True
+        future = self.flights.lead(key, asyncio.get_running_loop())
+        # Every waiter may have given up (504) before the flight fails.
+        future.add_done_callback(_retrieve_exception)
+        self.instruments.coalesce_leaders.inc()
+        self.batcher.submit(request, future, deadline_at)
+        return None, future, False
+
     async def _execute(
         self,
         request: SolveRequest,
@@ -1113,25 +1141,46 @@ class SolveService:
         bounded (``asyncio.TimeoutError``) — the shield keeps a shared
         flight alive for its other waiters when this one gives up.
         """
-        if self.config.hot_cache_fast_path:
-            # Cache-hot requests never leave the event loop: a pure
-            # in-memory lookup (no disk, no lock, no thread hop) serves
-            # the same bytes the batcher would.  Admission was already
-            # charged by the caller, so the loss-system contract holds.
-            hit = self.engine.cached_result(request, memory_only=True)
-            if hit is not None:
-                self.instruments.fast_path_hits.inc()
-                return hit, False
-        key = request.cache_key
-        future = self.flights.join(key)
-        if future is not None:
-            self.instruments.coalesce_hits.inc()
-            return await self._await_flight(future, deadline_at), True
-        loop = asyncio.get_running_loop()
-        future = self.flights.lead(key, loop)
-        self.instruments.coalesce_leaders.inc()
-        self.batcher.submit(request, future, deadline_at)
-        return await self._await_flight(future, deadline_at), False
+        hit, future, coalesced = self._start(request, deadline_at)
+        if future is None:
+            return hit, False
+        return await self._await_flight(future, deadline_at), coalesced
+
+    async def _execute_all(
+        self,
+        requests: list[SolveRequest],
+        deadline_at: float | None,
+    ) -> list[tuple[Any, bool]]:
+        """:meth:`_execute` for every member of a ``/batch``, in order.
+
+        One synchronous pass starts every member on the connection task
+        (no task per member), then one ``asyncio.wait`` covers all of
+        their flights under the request's deadline.  The first failed
+        member, in request order, raises; a timeout leaves shared
+        flights running for their other waiters.
+        """
+        started = [self._start(r, deadline_at) for r in requests]
+        flights = {future for _, future, _ in started if future is not None}
+        if flights:
+            timeout = None
+            if deadline_at is not None:
+                timeout = deadline_at - time.monotonic()
+                if timeout <= 0:
+                    raise asyncio.TimeoutError
+            done, pending = await asyncio.wait(
+                flights, timeout=timeout,
+                return_when=asyncio.FIRST_EXCEPTION,
+            )
+            for _, future, _ in started:
+                if (future in done and not future.cancelled()
+                        and future.exception() is not None):
+                    raise future.exception()
+            if pending:
+                raise asyncio.TimeoutError
+        return [
+            (hit, False) if future is None else (future.result(), coalesced)
+            for hit, future, coalesced in started
+        ]
 
     @staticmethod
     async def _await_flight(
@@ -1167,6 +1216,11 @@ class SolveService:
     def _observe_flush(self, batch_size: int, elapsed: float) -> None:
         self.instruments.batch_flushes.inc()
         self.instruments.batch_size.observe(float(batch_size))
+
+
+def _retrieve_exception(flight: asyncio.Future) -> None:
+    if not flight.cancelled():
+        flight.exception()
 
 
 # ----------------------------------------------------------------------

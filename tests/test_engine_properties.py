@@ -93,6 +93,54 @@ def test_grid_sharing_equals_point_solves(ns, classes):
     assert [result_bits(s) for s in shared] == [result_bits(p) for p in point]
 
 
+smooth_classes = st.builds(
+    TrafficClass.bernoulli,
+    sources=st.integers(min_value=1, max_value=30),
+    per_source_rate=st.floats(
+        min_value=1e-4, max_value=0.05, allow_nan=False, allow_infinity=False
+    ),
+    a=st.integers(min_value=1, max_value=2),
+)
+
+wide_classes = st.builds(
+    TrafficClass,
+    alpha=rates,
+    beta=st.floats(
+        min_value=0.0, max_value=0.4, allow_nan=False, allow_infinity=False
+    ),
+    a=st.just(3),
+)
+
+rectangles = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+    ),
+    min_size=2, max_size=6, unique=True,
+)
+
+
+@given(
+    points=rectangles,
+    smooth=smooth_classes,
+    wide=wide_classes,
+    rest=st.lists(traffic_classes, max_size=1),
+)
+def test_grid_reads_equal_point_solves_smooth_wide_rectangular(
+    points, smooth, wide, rest
+):
+    # The grid-read branches a square Poisson/Pascal sweep misses: a
+    # smooth class read off its e_smooth grid, a class wider than the
+    # smallest members (P(n, a) = 0 there) and n1 != n2 members.
+    classes = (smooth, wide, *rest)
+    requests = [SolveRequest.create(n1, n2, classes) for n1, n2 in points]
+    engine = BatchSolver(EngineConfig())
+    shared = engine.evaluate_many(requests, parallel=False)
+    assert engine.last_metrics.grid_points == len(requests)
+    point = [BatchSolver(EngineConfig()).solve(r) for r in requests]
+    assert [result_bits(s) for s in shared] == [result_bits(p) for p in point]
+
+
 @given(ns=sizes, classes=mixes)
 @POOL_SETTINGS
 def test_parallel_equals_serial(ns, classes):

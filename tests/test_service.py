@@ -12,6 +12,7 @@ it on the paper's own Table 1 configurations.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
@@ -38,6 +39,7 @@ from repro.service import (
 )
 from repro.service.protocol import (
     decode_request,
+    decode_request_list,
     decode_result,
     encode_result,
     new_request_id,
@@ -135,6 +137,154 @@ def test_batch_byte_identical_to_solve_many(client):
     assert len(remote) == len(local)
     for got, want in zip(remote, local):
         assert_byte_identical(got, want)
+
+
+def sweep_requests(sizes=range(1, 33), rate: float = 0.013) -> list[SolveRequest]:
+    """A 32-point capacity sweep over one Poisson + Pascal mix."""
+    classes = (
+        TrafficClass.poisson(rate, name="data"),
+        TrafficClass(alpha=rate / 3, beta=0.3, mu=1.0, a=2, name="video"),
+    )
+    return [SolveRequest.square(n, classes) for n in sizes]
+
+
+async def post_raw(port: int, path: str, payload: dict) -> tuple[int, dict]:
+    """One HTTP/1.1 POST over a fresh loopback connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    body = json.dumps(payload).encode()
+    writer.write(
+        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        .encode() + body
+    )
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    )
+    reply = json.loads(await reader.readexactly(length))
+    writer.close()
+    return int(head.split()[1]), reply
+
+
+def test_batch_byte_identical_to_independent_point_solves(client):
+    """Each member of a 32-point /batch equals its own point solve (not
+    a shared-grid read, which is the code under test)."""
+    requests = sweep_requests(rate=0.0123)
+    remote = client.solve_many(requests)
+    assert len(remote) == 32
+    for got, request in zip(remote, requests):
+        assert_byte_identical(
+            got, solve(request, engine=BatchSolver(EngineConfig()))
+        )
+
+
+def test_batch_of_32_creates_no_task_per_member():
+    requests = sweep_requests(rate=0.0171)
+    created: list[str] = []
+
+    def counting_factory(loop, coro, **kwargs):
+        created.append(coro.__qualname__)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def scenario() -> tuple[int, dict]:
+        service = SolveService(
+            ServiceConfig(port=0), engine=BatchSolver(EngineConfig())
+        )
+        await service.start()
+        loop = asyncio.get_running_loop()
+        loop.set_task_factory(counting_factory)
+        try:
+            return await post_raw(service.port, "/batch", {
+                "requests": [r.to_dict() for r in requests]
+            })
+        finally:
+            loop.set_task_factory(None)
+            await service.stop()
+
+    status, payload = asyncio.run(scenario())
+    assert status == 200 and payload["failed"] == 0
+    assert len(payload["results"]) == 32
+    # Accepting the connection, its handler and one flush of all 32
+    # members: nothing per member.
+    assert created.count("MicroBatcher._flush") == 1
+    assert len(created) <= 3, created
+
+
+def test_batch_member_joins_in_flight_solve_and_gets_its_bytes():
+    # The wide window keeps the /solve's flight open until the /batch
+    # whose first member is the same request arrives.
+    engine = BatchSolver(EngineConfig())
+    handle = start_in_thread(
+        ServiceConfig(port=0, batch_window=0.5), engine=engine
+    )
+    try:
+        remote_client = ServiceClient(*handle.address)
+        requests = sweep_requests(range(4, 8), rate=0.0147)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            leader = pool.submit(
+                remote_client._roundtrip, "POST", "/solve",
+                {"request": requests[0].to_dict()},
+            )
+            deadline = time.monotonic() + 5.0
+            while not len(handle.service.flights):
+                assert time.monotonic() < deadline, "solve never led"
+                time.sleep(0.005)
+            status, batch = remote_client._roundtrip(
+                "POST", "/batch",
+                {"requests": [r.to_dict() for r in requests]},
+            )
+            solve_status, solo = leader.result(timeout=10.0)
+        assert (status, solve_status) == (200, 200)
+        assert batch["coalesced"] == 1
+        assert batch["results"][0] == solo["result"]
+        assert handle.service.flights.hits == 1
+    finally:
+        handle.stop()
+
+
+@pytest.mark.parametrize("path", ["/solve", "/batch"])
+def test_flight_failure_after_an_early_504_is_still_retrieved(path):
+    """A flight that fails after its request already answered 504 must
+    not log "exception was never retrieved"."""
+    release = threading.Event()
+    unretrieved: list[dict] = []
+
+    def dying_runner(requests):
+        release.wait(5.0)
+        raise RuntimeError("flush worker died")
+
+    async def scenario() -> tuple[int, dict]:
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, ctx: unretrieved.append(ctx))
+        service = SolveService(
+            ServiceConfig(port=0), engine=BatchSolver(EngineConfig())
+        )
+        service.batcher._runner = dying_runner
+        await service.start()
+        try:
+            requests = [r.to_dict() for r in sweep_requests(range(2, 6))]
+            body = (
+                {"requests": requests} if path == "/batch"
+                else {"request": requests[0]}
+            )
+            reply = await post_raw(
+                service.port, path, body | {"deadline_ms": 50}
+            )
+            release.set()
+            while service.batcher.busy:
+                await asyncio.sleep(0.01)
+            gc.collect()
+            await asyncio.sleep(0)
+        finally:
+            await service.stop()
+        return reply
+
+    status, payload = asyncio.run(scenario())
+    assert status == 504
+    assert payload["error"]["phase"] == "wait"
+    assert unretrieved == []
 
 
 def test_concurrent_identical_requests_coalesce_and_stay_identical():
@@ -272,7 +422,8 @@ def test_max_batch_flushes_immediately():
 
 def test_idle_batcher_flushes_one_loop_turn_as_one_batch():
     """window=0: everything submitted in one turn shares the next-turn
-    flush (the gathered members of a ``/batch`` ride together)."""
+    flush (the members of a ``/batch``, started in one pass, ride
+    together)."""
     flushed: list[int] = []
 
     async def scenario() -> None:
@@ -400,6 +551,98 @@ def test_protocol_rejects_garbage():
         decode_request({"request": []})
     with pytest.raises(ConfigurationError):
         decode_request("not a mapping")
+
+
+def sweep_records(sizes=(4, 5, 6)) -> list[dict]:
+    """Wire records of one size sweep over one Poisson + Pascal mix."""
+    return [
+        SolveRequest.square(n, mixed_request().classes).to_dict()
+        for n in sizes
+    ]
+
+
+def test_batch_decode_shares_one_class_tuple_per_mix():
+    records = sweep_records((4, 5, 6))
+    other = mixed_request().classes[:1]
+    records.insert(2, SolveRequest.square(7, other).to_dict())
+    decoded = decode_request_list({"requests": records})
+    assert decoded == [SolveRequest.from_dict(r) for r in records]
+    assert decoded[1].classes is decoded[0].classes
+    assert decoded[2].classes is not decoded[1].classes
+    assert decoded[2].classes == other
+    # After a differing mix, the next record decodes on its own.
+    assert decoded[3].classes is not decoded[0].classes
+    assert decoded[3].cache_key == SolveRequest.from_dict(records[3]).cache_key
+
+
+def test_batch_decode_canonicalizes_each_mix_once(monkeypatch):
+    from repro.engine import keys
+
+    real, calls = keys.classes_key, []
+    monkeypatch.setattr(
+        keys, "classes_key", lambda classes: calls.append(1) or real(classes)
+    )
+    records = sweep_records(range(1, 33))
+    got = [r.cache_key for r in decode_request_list(records)]
+    # The first record keys its own mix; the derived chain shares one.
+    assert len(calls) <= 2
+    monkeypatch.undo()
+    assert got == [SolveRequest.from_dict(r).cache_key for r in records]
+
+
+def test_batch_decode_reuse_keeps_signed_zeros_and_name_types():
+    """``==`` on raw JSON calls 0.0 and -0.0, or 1 and true, equal; the
+    decoded classes are not, so such records must decode on their own."""
+    base = {"alpha": 0.01, "beta": 0.0, "name": "x"}
+    flipped = {"alpha": 0.01, "beta": -0.0, "name": "x"}
+    decoded = decode_request_list([
+        {"n1": 4, "n2": 4, "classes": [base]},
+        {"n1": 5, "n2": 5, "classes": [flipped]},
+        {"n1": 6, "n2": 6, "classes": [dict(base, name=1)]},
+        {"n1": 7, "n2": 7, "classes": [dict(base, name=True)]},
+    ])
+    assert decoded[1].classes[0].beta.hex() == (-0.0).hex()
+    assert decoded[1].cache_key != decoded[0].with_dims(5).cache_key
+    assert [d.classes[0].name for d in decoded[2:]] == ["1", "True"]
+
+
+def test_batch_decode_shared_mix_carries_the_method():
+    records = sweep_records((4, 5))
+    records[1]["method"] = "mva"
+    decoded = decode_request_list(records)
+    assert decoded[1].classes is decoded[0].classes
+    assert decoded[1].method is SolveMethod.MVA
+    assert decoded[1] == SolveRequest.from_dict(records[1])
+
+
+def _unknown_class_field(records: list[dict]) -> dict:
+    bad = dict(records[-1])
+    bad["classes"] = [dict(bad["classes"][0], colour="red")]
+    return bad
+
+
+@pytest.mark.parametrize("breakage", [
+    pytest.param(lambda r: {k: v for k, v in r[-1].items() if k != "n2"},
+                 id="missing-n2"),
+    pytest.param(_unknown_class_field, id="unknown-class-field"),
+    pytest.param(lambda r: dict(r[-1], method="simplex"), id="bad-method"),
+    pytest.param(lambda r: dict(r[-1], method=[]), id="unhashable-method"),
+])
+def test_batch_decode_rejects_a_malformed_later_record(client, breakage):
+    records = sweep_records((4, 5, 6))
+    bad = breakage(records)
+    with pytest.raises(ConfigurationError) as alone:
+        decode_request(bad)
+    with pytest.raises(ConfigurationError) as in_batch:
+        decode_request_list(records + [bad])
+    assert str(in_batch.value) == str(alone.value)
+    status, payload = client._roundtrip(
+        "POST", "/batch", {"requests": records + [bad]}
+    )
+    assert status == 400
+    assert payload["error"] == {
+        "kind": "bad_request", "message": str(alone.value),
+    }
 
 
 def test_request_ids_monotonic():

@@ -9,6 +9,10 @@ second small-gate daemon), and asserts:
 * **Determinism** — every response for a given request is byte-equal
   (``float.hex``) to the local ``repro.api.solve`` answer: zero
   non-deterministic results across all concurrency.
+* **Sweeps match point solves** — every member of a few 32-point
+  ``/batch`` capacity sweeps (one fresh Poisson + Pascal mix each, one
+  shared Q-grid on the server) is byte-equal on the wire to an
+  independent point solve of that member.
 * **Coalescing happened** — nonzero coalesce hits (the workload
   guarantees racing identical requests).
 * **Admission held** — the overload drill never exceeds its gate
@@ -22,6 +26,7 @@ Exit code 0 on success, 1 on any violation.  CI runs this under
 
 from __future__ import annotations
 
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -37,9 +42,12 @@ from repro.service import (  # noqa: E402
     ServiceConfig,
     start_in_thread,
 )
+from repro.service.protocol import encode_result  # noqa: E402
 
 POINT_SIZES = (4, 5, 6, 8, 10, 12)
 REPEAT_FANOUT = 10  # concurrent callers per hot request
+SWEEP_SIZES = range(1, 33)  # one 32-point capacity sweep
+SWEEP_MIXES = 4
 
 
 def point_request(n: int) -> SolveRequest:
@@ -51,6 +59,34 @@ def point_request(n: int) -> SolveRequest:
                          name="burst"),
         ],
     )
+
+
+def sweep_requests(index: int) -> list[SolveRequest]:
+    """A 32-point sweep over a fresh Poisson + Pascal (a=2) mix."""
+    rate = 0.003 + 0.002 * index
+    classes = [
+        TrafficClass.poisson(rate, name="data"),
+        TrafficClass(alpha=rate / 2, beta=0.1 + 0.1 * index, mu=1.0, a=2,
+                     name="video"),
+    ]
+    return [SolveRequest.square(n, classes) for n in SWEEP_SIZES]
+
+
+def sweep_mismatches(client: ServiceClient, index: int) -> list[str]:
+    """Members of one wire sweep whose bytes differ from a point solve."""
+    requests = sweep_requests(index)
+    status, payload = client._roundtrip(
+        "POST", "/batch", {"requests": [r.to_dict() for r in requests]}
+    )
+    if status != 200:
+        return [f"sweep {index}: HTTP {status}"]
+    return [
+        f"sweep {index} member {request.dims}"
+        for request, record in zip(requests, payload["results"])
+        if json.dumps(record) != json.dumps(encode_result(
+            solve(request, engine=BatchSolver(EngineConfig()))
+        ))
+    ]
 
 
 def check(condition: bool, label: str, failures: list[str]) -> None:
@@ -107,6 +143,16 @@ def main() -> int:
     check(not mismatches,
           f"zero non-deterministic results ({len(mismatches)} mismatches)",
           failures)
+    with ThreadPoolExecutor(max_workers=SWEEP_MIXES) as pool:
+        sweep_bad = [
+            label for labels in pool.map(
+                lambda i: sweep_mismatches(client, i), range(SWEEP_MIXES)
+            )
+            for label in labels
+        ]
+    check(not sweep_bad,
+          f"{SWEEP_MIXES} 32-point sweeps byte-equal to point solves "
+          f"({len(sweep_bad)} mismatches)", failures)
     hits = handle.service.flights.hits
     check(hits > 0, f"nonzero coalesce hits ({hits})", failures)
     check(handle.service.gate.in_use == 0,
