@@ -15,20 +15,14 @@ all recorded in ``BENCH_engine.json``:
 3. **Second-pass hit-rate** — re-evaluating the sweep batch on the same
    engine must be pure cache hits (nonzero hit-rate, zero solves).
 
-A fourth section (recorded, not asserted — wall-clock ratios are too
-noisy for CI gating) measures **resilience overhead**: the same clean
-parallel MVA batch run under the default supervisor (retries +
-deadline armed) vs the unsupervised fast path (``max_retries=0``),
-with both runs' ``BatchMetrics`` dicts included in the JSON.
-
-A fifth section, **service**, drives the solve-serving daemon
+A fourth section, **service**, drives the solve-serving daemon
 (``repro.service``) over its real JSON/HTTP wire at 1, 8 and 64
 concurrent clients and records throughput plus p50/p99 latency per
 level and the overall coalesce hit-rate (asserted: every sampled wire
 result equals the local solve; the timings are recorded for trend
 tracking).
 
-A sixth section, **service_cluster**, boots a 4-worker sharded fleet
+A fifth section, **service_cluster**, boots a 4-worker sharded fleet
 and drives it with the ``repro.loadgen`` harness (client-side direct
 sharding, 256 closed-loop users).  Asserted: byte-identical results
 from every worker, best-of-3 throughput at least 3x the single-worker
@@ -37,7 +31,7 @@ offered-load-weighted Erlang-B prediction, and bursty traffic
 (``burst_mean=3``) blocking strictly above the Poisson run — the
 source paper's central claim, re-proved on the serving tier.
 
-A seventh section, **cluster_failover**, measures the self-healing
+A sixth section, **cluster_failover**, measures the self-healing
 fleet: kill one worker of a two-shard fleet and record how long its
 keyspace spends failing over (recovery time, failover count, the
 share of failover replies served from the shared cache — the
@@ -175,56 +169,6 @@ def bench_robust_availability() -> dict:
         "masks": len(masks),
         "elapsed_seconds": elapsed,
         **stats,
-    }
-
-
-def bench_resilience_overhead(n_points: int) -> dict:
-    """Supervision on vs off over one clean parallel MVA batch.
-
-    MVA requests are never grid-grouped, so every point is a real pool
-    task — the comparison isolates the supervisor's bookkeeping (
-    per-task futures + deadline/hedge polling vs one chunked ``map``).
-    Results must be identical; the timing ratio is recorded for trend
-    tracking, not asserted.
-    """
-    from repro.methods import SolveMethod
-
-    requests = [
-        SolveRequest.square(n, SWEEP_CLASSES, method=SolveMethod.MVA)
-        for n in range(3, 3 + n_points)
-    ]
-
-    plain = BatchSolver(EngineConfig(max_retries=0))
-    assert not plain.config.supervised
-    began = time.perf_counter()
-    plain_results = plain.evaluate_many(requests, parallel=True)
-    plain_elapsed = time.perf_counter() - began
-
-    supervised = BatchSolver(EngineConfig(task_deadline=60.0))
-    assert supervised.config.supervised
-    began = time.perf_counter()
-    supervised_results = supervised.evaluate_many(requests, parallel=True)
-    supervised_elapsed = time.perf_counter() - began
-
-    assert supervised_results == plain_results, (
-        "supervised batch changed the numbers"
-    )
-    clean_metrics = supervised.last_metrics
-    assert clean_metrics.retries == 0 and clean_metrics.failed == 0, (
-        "clean run recorded spurious retries/failures"
-    )
-
-    return {
-        "points": n_points,
-        "plain_seconds": plain_elapsed,
-        "supervised_seconds": supervised_elapsed,
-        "overhead_ratio": (
-            supervised_elapsed / plain_elapsed
-            if plain_elapsed > 0 else float("inf")
-        ),
-        "identical": True,
-        "plain_metrics": plain.last_metrics.to_dict(),
-        "supervised_metrics": clean_metrics.to_dict(),
     }
 
 
@@ -820,7 +764,6 @@ def main(argv=None) -> int:
     else:
         sweep = bench_sweep(4, 64, min_speedup=5.0)
     robust = bench_robust_availability()
-    resilience = bench_resilience_overhead(16 if args.quick else 50)
     service = bench_service(128 if args.quick else 512)
     service_cluster = bench_service_cluster(
         service["levels"]["64"]["throughput_rps"]
@@ -833,7 +776,6 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "sweep": sweep,
         "robust_availability": robust,
-        "resilience_overhead": resilience,
         "service": service,
         "service_cluster": service_cluster,
         "service_degraded": service_degraded,
@@ -856,7 +798,6 @@ def main(argv=None) -> int:
         f"(floor {sweep['min_speedup']:g}x); "
         f"second-pass hit-rate {sweep['second_pass']['hit_rate']:.0%}; "
         f"availability hit-rate {robust['hit_rate']:.1%}; "
-        f"supervision overhead {resilience['overhead_ratio']:.2f}x; "
         f"service {service['levels']['64']['throughput_rps']:.0f} req/s "
         f"@64 clients (p99 {service['levels']['64']['p99_ms']:.1f}ms, "
         f"coalesce {service['coalesce_hit_rate']:.0%}); "

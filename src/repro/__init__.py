@@ -138,7 +138,7 @@ def __dir__() -> list[str]:
 
 #: Version of last resort when the distribution metadata is absent
 #: (e.g. running from a source checkout via ``PYTHONPATH=src``).
-_FALLBACK_VERSION = "1.8.0"
+_FALLBACK_VERSION = "2.0.0"
 
 
 def _detect_version() -> str:

@@ -25,16 +25,11 @@ True
 * :func:`solve` / :func:`solve_many` — evaluate requests through the
   process-wide default :class:`~repro.engine.BatchSolver`; batches get
   Q-grid sharing, memoization and optional process parallelism.
-
-The legacy keyword form ``solve(dims, classes, method=...)`` still
-works behind a :class:`DeprecationWarning` but is scheduled for
-removal in version 2.0 — see ``docs/api.md`` for the migration table.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
@@ -392,48 +387,17 @@ class SolveResult:
 # ----------------------------------------------------------------------
 
 
-def _legacy_request(
-    dims: Any,
-    classes: Sequence[TrafficClass],
-    method: SolveMethod | str | None,
-) -> SolveRequest:
-    warnings.warn(
-        "solve(dims, classes, method=...) is deprecated and will be "
-        "removed in 2.0; pass a SolveRequest: "
-        "solve(SolveRequest(dims, classes, method))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SolveRequest(
-        _coerce_dims(dims), tuple(classes),
-        method if method is not None else SolveMethod.CONVOLUTION,
-    )
-
-
 def solve(
-    request: "SolveRequest | SwitchDimensions | int",
-    classes: Sequence[TrafficClass] | None = None,
-    method: SolveMethod | str | None = None,
-    *,
-    engine: "BatchSolver | None" = None,
+    request: SolveRequest, *, engine: "BatchSolver | None" = None
 ) -> SolveResult:
     """Solve one request through the (default) batched engine.
 
     The engine memoizes: repeated calls with an equivalent request are
-    served from cache.  The legacy form ``solve(dims, classes,
-    method=...)`` still works but emits a :class:`DeprecationWarning`
-    and will be removed in version 2.0.
+    served from cache.
     """
     if not isinstance(request, SolveRequest):
-        if classes is None:
-            raise ConfigurationError(
-                "solve() needs a SolveRequest (or legacy dims + classes)"
-            )
-        request = _legacy_request(request, classes, method)
-    elif classes is not None or method is not None:
         raise ConfigurationError(
-            "pass either a SolveRequest or legacy (dims, classes, "
-            "method) arguments, not both"
+            f"solve() needs a SolveRequest, got {request!r}"
         )
     from .engine import get_default_engine
 
@@ -445,16 +409,16 @@ def solve_many(
     *,
     engine: "BatchSolver | None" = None,
     parallel: bool | None = None,
-    strict: bool | None = None,
+    strict: bool = False,
 ) -> list[SolveResult]:
     """Solve a batch of requests with caching, Q-grid reuse and fan-out.
 
     See :meth:`repro.engine.BatchSolver.evaluate_many` for the batching
-    semantics; results come back in request order.  Under the default
-    supervisor a request that terminally fails yields a
-    :class:`repro.engine.FailedResult` in its slot (check
-    ``getattr(result, "failed", False)``) while the rest of the batch
-    completes; ``strict=True`` re-raises the first failure instead.
+    semantics; results come back in request order.  A request whose
+    solver raises yields a :class:`repro.engine.FailedResult` in its
+    slot (check ``getattr(result, "failed", False)``) while the rest of
+    the batch completes; ``strict=True`` re-raises the first failure
+    instead.
     """
     from .engine import get_default_engine
 

@@ -122,30 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version",
         version=f"%(prog)s {__version__}",
     )
-    resilience = parser.add_argument_group(
-        "engine resilience",
-        "fault-tolerance knobs of the batch engine (global; place "
-        "before the subcommand)",
-    )
-    resilience.add_argument(
-        "--max-retries", type=int, default=None, metavar="K",
-        help="retries per request for transient failures "
-             "(0 disables retrying; default: engine default)",
-    )
-    resilience.add_argument(
-        "--task-deadline", type=float, default=None, metavar="SECONDS",
-        help="abandon and retry any solve attempt running longer than "
-             "this (default: no deadline)",
-    )
-    resilience.add_argument(
-        "--hedge-after", type=float, default=None, metavar="SECONDS",
-        help="launch a duplicate of a straggling parallel task after "
-             "this long (default: no hedging)",
-    )
-    resilience.add_argument(
-        "--no-hedging", action="store_true",
-        help="disable hedged duplicates even if --hedge-after is set",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     for fig in ("figure1", "figure2", "figure3", "figure4"):
@@ -472,36 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_engine(args: argparse.Namespace) -> None:
-    """Install a default engine honoring the resilience flags.
-
-    Touches nothing when no flag was passed, so programmatic callers
-    (and tests) keep whatever engine is already installed.
-    """
-    overrides: dict = {}
-    if getattr(args, "max_retries", None) is not None:
-        overrides["max_retries"] = max(0, args.max_retries)
-    if getattr(args, "task_deadline", None) is not None:
-        overrides["task_deadline"] = args.task_deadline
-    if getattr(args, "hedge_after", None) is not None:
-        overrides["hedge_after"] = args.hedge_after
-    if getattr(args, "no_hedging", False):
-        overrides["hedge_after"] = None
-    if not overrides:
-        return
-    from dataclasses import replace as _replace
-
-    from .engine import BatchSolver, EngineConfig, set_default_engine
-
-    set_default_engine(
-        BatchSolver(_replace(EngineConfig.from_env(), **overrides))
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _configure_engine(args)
     try:
         return _dispatch(args)
     except CrossbarError as exc:

@@ -1,14 +1,13 @@
-"""Batched, cached, fault-tolerant evaluation engine for crossbar
-solve requests.
+"""Batched, cached evaluation engine for crossbar solve requests.
 
 See :class:`BatchSolver` for the execution model: canonical cache keys
 (:mod:`repro.engine.keys`), LRU + optional disk caches
 (:mod:`repro.engine.cache`) guarded by a circuit breaker
 (:mod:`repro.engine.breaker`), shared Algorithm 1 Q-grids for size
 sweeps, process-parallel fan-out for independent misses, and a
-supervision layer (retries, deadlines, hedging, worker-crash recovery)
-exercised by the deterministic chaos harness
-(:mod:`repro.engine.chaos`).
+:class:`FailedResult` in the slot of any request whose solver raises.
+The deterministic chaos harness (:mod:`repro.engine.chaos`) drives
+disk-cache faults here and wire/fleet faults against the service.
 """
 
 from .batch import (
@@ -18,7 +17,6 @@ from .batch import (
     EngineStats,
     FailedResult,
     TaskAttempt,
-    TaskDeadlineError,
     get_default_engine,
     reset_default_engine,
     set_default_engine,
@@ -38,7 +36,6 @@ from .cache import (
     StaleCacheKeyError,
 )
 from .chaos import (
-    ALL_ATTEMPTS,
     CacheFaultInjector,
     ChaosFault,
     ClusterFault,
@@ -48,7 +45,6 @@ from .chaos import (
     ServiceFault,
     ServiceFaultInjector,
     ServiceFaultPlan,
-    WorkerKilledError,
     corrupt_entry,
 )
 from .keys import classes_key, key_digest, request_key
@@ -60,7 +56,6 @@ __all__ = [
     "EngineStats",
     "FailedResult",
     "TaskAttempt",
-    "TaskDeadlineError",
     "get_default_engine",
     "reset_default_engine",
     "set_default_engine",
@@ -74,7 +69,6 @@ __all__ = [
     "DiskCache",
     "LRUCache",
     "StaleCacheKeyError",
-    "ALL_ATTEMPTS",
     "CacheFaultInjector",
     "ChaosFault",
     "ClusterFault",
@@ -84,7 +78,6 @@ __all__ = [
     "ServiceFault",
     "ServiceFaultInjector",
     "ServiceFaultPlan",
-    "WorkerKilledError",
     "corrupt_entry",
     "classes_key",
     "key_digest",

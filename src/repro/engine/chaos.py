@@ -1,31 +1,14 @@
-"""Deterministic, seed-driven fault injection for the batch engine.
+"""Deterministic fault injection for the engine and the serving stack.
 
-The resilience claims of :mod:`repro.engine.batch` — worker-crash
-recovery, per-task deadlines, retry, the cache circuit breaker — are
-only trustworthy if they can be *exercised on demand*.  This module is
-the chaos harness: a :class:`FaultPlan` describes exactly which task
-(or cache operation) fails, how, and on which attempt, and the batch
-and cache layers consult it through two hooks:
-
-* ``EngineConfig.chaos`` — the plan rides into pool workers (it is a
-  small frozen, picklable dataclass) and
-  :meth:`FaultPlan.apply_task` fires task faults;
-* ``DiskCache.fault_hook`` — a :class:`CacheFaultInjector` built from
-  the same plan fires cache faults (deny = transient ``OSError``,
-  corrupt = scribble over the entry before the read).
+The disk cache's resilience claims — quarantine of corrupt entries,
+the circuit breaker, memory-only degradation — are only trustworthy if
+they can be *exercised on demand*.  This module is the chaos harness:
+a :class:`FaultPlan` describes exactly which cache operation fails and
+how, and ``DiskCache.fault_hook`` — a :class:`CacheFaultInjector`
+built from ``EngineConfig.chaos`` — fires it.
 
 Fault kinds
 -----------
-``kill-worker``
-    The worker process exits hard (``os._exit``) mid-task, breaking
-    the process pool; applied in-process (serial batches) it raises
-    :class:`WorkerKilledError` instead, so the supervisor sees the
-    same retryable failure without killing the interpreter.
-``delay``
-    The task sleeps ``duration`` seconds before solving — long enough
-    to blow a per-task deadline or trigger a hedge.
-``transient-error``
-    The task raises ``OSError`` (retryable) on the targeted attempt.
 ``cache-deny``
     The next ``count`` matching cache operations raise ``OSError``
     (this is what trips the circuit breaker).
@@ -34,13 +17,11 @@ Fault kinds
     touches it; the normal corruption path (quarantine/strict raise)
     takes over from there.
 
-Plans are deterministic: :meth:`FaultPlan.from_seed` derives victims
-from a seed via :class:`random.Random`, and everything else is data.
-Because every solve is a pure function of its request, a recovered run
-is *byte-identical* to a fault-free run — the property the chaos tests
-assert.
+Plans are plain data.  Because every solve is a pure function of its
+request, a recovered run is *byte-identical* to a fault-free run — the
+property the chaos tests assert.
 
-Two sibling harnesses share the same determinism contract:
+Two sibling harnesses share that contract:
 :class:`ServiceFaultPlan` fires wire-level faults against one serving
 daemon (stalled sockets, mid-request disconnects, killed flushes), and
 :class:`ClusterFaultPlan` fires fleet-level faults against a whole
@@ -63,7 +44,6 @@ from typing import Any, Callable
 from ..exceptions import ConfigurationError
 
 __all__ = [
-    "ALL_ATTEMPTS",
     "CacheFaultInjector",
     "ChaosFault",
     "ClusterFault",
@@ -73,12 +53,8 @@ __all__ = [
     "ServiceFault",
     "ServiceFaultInjector",
     "ServiceFaultPlan",
-    "WorkerKilledError",
     "corrupt_entry",
     "corrupt_shared_cache",
-    "KIND_KILL",
-    "KIND_DELAY",
-    "KIND_ERROR",
     "KIND_CACHE_DENY",
     "KIND_CACHE_CORRUPT",
     "KIND_CLIENT_STALL",
@@ -93,171 +69,51 @@ __all__ = [
     "KIND_CRASH_LOOP",
 ]
 
-KIND_KILL = "kill-worker"
-KIND_DELAY = "delay"
-KIND_ERROR = "transient-error"
 KIND_CACHE_DENY = "cache-deny"
 KIND_CACHE_CORRUPT = "cache-corrupt"
 
-_TASK_KINDS = (KIND_KILL, KIND_DELAY, KIND_ERROR)
 _CACHE_KINDS = (KIND_CACHE_DENY, KIND_CACHE_CORRUPT)
-
-#: Sentinel attempt number meaning "fire on every attempt" (a
-#: permanently failing task, not a transient hiccup).
-ALL_ATTEMPTS = -1
-
-#: Exit status of a chaos-killed pool worker (visible in core dumps /
-#: process tables; any nonzero value breaks the pool identically).
-KILL_EXIT_STATUS = 77
 
 GARBAGE = "{chaos corrupted this entry"
 
 
-class WorkerKilledError(OSError):
-    """In-process stand-in for a hard worker death (serial batches)."""
-
-
 @dataclass(frozen=True)
 class ChaosFault:
-    """One planned fault.
+    """One planned disk-cache fault.
 
-    Task faults (``kill-worker``/``delay``/``transient-error``) target
-    a batch ``task`` index and an ``attempt`` number
-    (:data:`ALL_ATTEMPTS` = every attempt).  Cache faults
-    (``cache-deny``/``cache-corrupt``) target an operation (``"load"``,
-    ``"store"``, or ``""`` for both) and optionally a specific ``key``
-    (``""`` = any key), firing at most ``count`` times.
+    Targets an operation (``"load"``, ``"store"``, or ``""`` for both)
+    and optionally a specific ``key`` (``""`` = any key), firing at
+    most ``count`` times.
     """
 
     kind: str
-    task: int = -1
-    attempt: int = 0
-    duration: float = 0.0
     op: str = ""
     key: str = ""
     count: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in _TASK_KINDS + _CACHE_KINDS:
+        if self.kind not in _CACHE_KINDS:
             raise ConfigurationError(
                 f"unknown chaos fault kind {self.kind!r}; expected one of "
-                f"{_TASK_KINDS + _CACHE_KINDS}"
+                f"{_CACHE_KINDS}"
             )
-
-    def matches_task(self, task: int, attempt: int) -> bool:
-        return (
-            self.kind in _TASK_KINDS
-            and self.task == task
-            and (self.attempt == ALL_ATTEMPTS or self.attempt == attempt)
-        )
 
     def matches_cache(self, op: str, key: str) -> bool:
         return (
-            self.kind in _CACHE_KINDS
-            and (not self.op or self.op == op)
+            (not self.op or self.op == op)
             and (not self.key or self.key == key)
         )
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic set of faults for one (or more) batch runs."""
+    """A deterministic set of disk-cache faults for one (or more) runs."""
 
     faults: tuple[ChaosFault, ...] = ()
     seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
-
-    @property
-    def task_faults(self) -> tuple[ChaosFault, ...]:
-        return tuple(f for f in self.faults if f.kind in _TASK_KINDS)
-
-    @property
-    def cache_faults(self) -> tuple[ChaosFault, ...]:
-        return tuple(f for f in self.faults if f.kind in _CACHE_KINDS)
-
-    def task_fault(self, task: int, attempt: int) -> ChaosFault | None:
-        """The first fault targeting (task, attempt), or None."""
-        for fault in self.faults:
-            if fault.matches_task(task, attempt):
-                return fault
-        return None
-
-    def apply_task(self, task: int, attempt: int, in_worker: bool) -> None:
-        """Fire the planned fault for this (task, attempt), if any.
-
-        Called at the top of every task attempt — inside the pool
-        worker for parallel batches (``in_worker=True``), in the engine
-        process for serial ones.  ``kill-worker`` hard-exits a real
-        worker but raises :class:`WorkerKilledError` in-process so a
-        serial batch survives to supervise it.
-        """
-        fault = self.task_fault(task, attempt)
-        if fault is None:
-            return
-        if fault.kind == KIND_DELAY:
-            time.sleep(fault.duration)
-            return
-        if fault.kind == KIND_ERROR:
-            raise OSError(
-                f"chaos: transient error (task {task}, attempt {attempt})"
-            )
-        # kill-worker
-        if in_worker:
-            os._exit(KILL_EXIT_STATUS)
-        raise WorkerKilledError(
-            f"chaos: worker killed (task {task}, attempt {attempt}; "
-            "simulated in-process)"
-        )
-
-    @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        tasks: int,
-        kills: int = 1,
-        delays: int = 0,
-        errors: int = 0,
-        delay_duration: float = 1.0,
-        cache_denies: int = 0,
-        attempt: int = 0,
-    ) -> "FaultPlan":
-        """Derive a plan from a seed: distinct victims, fixed kinds.
-
-        Victim task indices are drawn without replacement by
-        ``random.Random(seed)``, so the same seed always produces the
-        same plan — the chaos tests' reproducibility contract.
-        """
-        wanted = kills + delays + errors
-        if wanted > tasks:
-            raise ConfigurationError(
-                f"cannot pick {wanted} distinct victims from {tasks} tasks"
-            )
-        rng = random.Random(seed)
-        victims = rng.sample(range(tasks), k=wanted)
-        faults: list[ChaosFault] = []
-        cursor = 0
-        for kind, n in (
-            (KIND_KILL, kills), (KIND_DELAY, delays), (KIND_ERROR, errors)
-        ):
-            for _ in range(n):
-                faults.append(
-                    ChaosFault(
-                        kind=kind,
-                        task=victims[cursor],
-                        attempt=attempt,
-                        duration=(
-                            delay_duration if kind == KIND_DELAY else 0.0
-                        ),
-                    )
-                )
-                cursor += 1
-        if cache_denies:
-            faults.append(
-                ChaosFault(kind=KIND_CACHE_DENY, count=cache_denies)
-            )
-        return cls(faults=tuple(faults), seed=seed)
 
 
 class CacheFaultInjector:
@@ -272,17 +128,13 @@ class CacheFaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._remaining = {
-            i: fault.count
-            for i, fault in enumerate(plan.faults)
-            if fault.kind in _CACHE_KINDS
-        }
+        self._remaining = [fault.count for fault in plan.faults]
         #: Faults actually fired, for test assertions.
         self.fired: list[tuple[str, str, str]] = []
 
     def __call__(self, op: str, key: str, path: Path) -> None:
         for i, fault in enumerate(self.plan.faults):
-            if self._remaining.get(i, 0) <= 0:
+            if self._remaining[i] <= 0:
                 continue
             if not fault.matches_cache(op, key):
                 continue
@@ -396,7 +248,7 @@ class ServiceFaultPlan:
         breaker_open: bool = False,
         delay_duration: float = 0.3,
     ) -> "ServiceFaultPlan":
-        """Derive a plan from a seed (same contract as ``FaultPlan``).
+        """Derive a plan from a seed: the same seed, the same plan.
 
         Victim flush indices for the engine faults are drawn without
         replacement from ``range(flushes)`` by ``random.Random(seed)``;
@@ -469,17 +321,16 @@ class ServiceFaultInjector:
     # -- engine surface -------------------------------------------------
 
     def wrap_runner(
-        self, runner: Callable[..., list]
-    ) -> Callable[[list, Any], list]:
+        self, runner: Callable[[list], list]
+    ) -> Callable[[list], list]:
         """Wrap the daemon's flush runner with the plan's engine faults.
 
-        The wrapper keeps the two-argument ``(requests, task_deadline)``
-        shape the micro-batcher probes for.  Flush indices count every
-        invocation, including the batcher's supervised requeue — a plan
-        targeting consecutive indices therefore kills the retry too.
+        Flush indices count every invocation, including the batcher's
+        supervised requeue — a plan targeting consecutive indices
+        therefore kills the retry too.
         """
 
-        def wrapped(requests: list, task_deadline: Any = None) -> list:
+        def wrapped(requests: list) -> list:
             index = self._flush_index
             self._flush_index += 1
             fault = self.plan.engine_fault(index)
@@ -491,7 +342,7 @@ class ServiceFaultInjector:
                     raise OSError(
                         f"chaos: engine runner killed (flush {index})"
                     )
-            return runner(requests, task_deadline)
+            return runner(requests)
 
         return wrapped
 

@@ -27,49 +27,26 @@ from __future__ import annotations
 
 import csv
 import io
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..api import SolveRequest, SolveResult, solve_many
-from ..core.measures import PerformanceSolution
-from ..core.state import SwitchDimensions
 from ..core.traffic import TrafficClass
 from ..exceptions import ConfigurationError
 
 __all__ = ["SweepSpec", "run_sweep", "write_csv"]
 
-#: Measures resolvable per class (solution-object accessors; used by
-#: the deprecated custom-``solver`` path).
+#: Measures read off each point's :class:`~repro.api.SolveResult`:
+#: per class, and of the whole switch.
 _PER_CLASS = {
-    "blocking": lambda s, r: s.blocking(r),
-    "non_blocking": lambda s, r: s.non_blocking(r),
-    "concurrency": lambda s, r: s.concurrency(r),
-    "call_congestion": lambda s, r: s.call_congestion(r),
-    "throughput": lambda s, r: s.throughput(r),
-}
-
-#: Measures of the whole switch (solution-object accessors).
-_GLOBAL = {
-    "revenue": lambda s: s.revenue(),
-    "utilization": lambda s: s.utilization(),
-    "mean_occupancy": lambda s: s.mean_occupancy(),
-    "total_throughput": lambda s: s.total_throughput(),
-}
-
-#: The same measures read off a :class:`~repro.api.SolveResult` (the
-#: engine path).  ``SolveResult.from_solution`` computes the aggregates
-#: with the same ``fsum`` formulas, so the two maps agree bit-for-bit.
-_PER_CLASS_RESULT = {
     "blocking": lambda res, r: res.blocking[r],
     "non_blocking": lambda res, r: res.non_blocking[r],
     "concurrency": lambda res, r: res.concurrency[r],
     "call_congestion": lambda res, r: res.call_congestion[r],
     "throughput": lambda res, r: res.throughput[r],
 }
-
-_GLOBAL_RESULT = {
+_GLOBAL = {
     "revenue": lambda res: res.revenue,
     "utilization": lambda res: res.utilization,
     "mean_occupancy": lambda res: res.mean_occupancy,
@@ -81,19 +58,15 @@ _GLOBAL_RESULT = {
 class SweepSpec:
     """A size sweep: which switches, which traffic, which measures.
 
-    ``solver`` is deprecated: by default the sweep runs through the
-    batched engine (:func:`repro.api.solve_many`), which deduplicates
-    repeated points and serves constant-mix sweeps from one shared
-    Q-grid.  Passing a custom solver still works but forgoes batching.
+    The sweep runs through the batched engine
+    (:func:`repro.api.solve_many`), which deduplicates repeated points
+    and serves constant-mix sweeps from one shared Q-grid.
     """
 
     name: str
     sizes: Sequence[int]
     classes_for: Callable[[int], Sequence[TrafficClass]]
     measures: Sequence[str] = ("blocking", "concurrency", "revenue")
-    solver: Callable[
-        [SwitchDimensions, Sequence[TrafficClass]], PerformanceSolution
-    ] | None = None
 
     def validate(self) -> None:
         if not self.sizes:
@@ -111,54 +84,26 @@ def _result_row(
 ) -> dict:
     row: dict = {"n": n}
     for measure in spec.measures:
-        if measure in _GLOBAL_RESULT:
-            row[measure] = _GLOBAL_RESULT[measure](result)
+        if measure in _GLOBAL:
+            row[measure] = _GLOBAL[measure](result)
         else:
             for r, cls in enumerate(result.classes):
                 label = cls.name or f"class{r}"
-                row[f"{measure}[{label}]"] = _PER_CLASS_RESULT[measure](
+                row[f"{measure}[{label}]"] = _PER_CLASS[measure](
                     result, r
                 )
     return row
 
 
-def _run_sweep_legacy(spec: SweepSpec) -> list[dict]:
-    rows: list[dict] = []
-    for n in spec.sizes:
-        dims = SwitchDimensions.square(n)
-        classes = list(spec.classes_for(n))
-        solution = spec.solver(dims, classes)
-        row: dict = {"n": n}
-        for measure in spec.measures:
-            if measure in _GLOBAL:
-                row[measure] = _GLOBAL[measure](solution)
-            else:
-                for r, cls in enumerate(classes):
-                    label = cls.name or f"class{r}"
-                    row[f"{measure}[{label}]"] = _PER_CLASS[measure](
-                        solution, r
-                    )
-        rows.append(row)
-    return rows
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Execute a sweep; one flat dict per size.
 
-    The default path batches every point through
-    :func:`repro.api.solve_many`: cached points are free, and sweeps
+    Every point is batched through :func:`repro.api.solve_many`:
+    cached points are free, and sweeps
     whose traffic mix does not depend on ``n`` are served from a single
     Algorithm 1 grid solved at the largest size.
     """
     spec.validate()
-    if spec.solver is not None:
-        warnings.warn(
-            "SweepSpec.solver is deprecated; leave it unset to run the "
-            "sweep through the batched engine (repro.api.solve_many)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _run_sweep_legacy(spec)
     requests = [
         SolveRequest.square(n, tuple(spec.classes_for(n)))
         for n in spec.sizes

@@ -16,13 +16,12 @@ admission-controlled the way the paper's crossbar admits calls:
 * **micro-batching** — requests queued together (in one event-loop
   turn, or while the previous flush computes) are flushed as a single
   :meth:`~repro.engine.BatchSolver.evaluate_many` call, inheriting
-  Q-grid sharing and the process pool
-  (:class:`~repro.service.batcher.MicroBatcher`);
+  Q-grid sharing (:class:`~repro.service.batcher.MicroBatcher`);
 * **observability** — a hand-rolled Prometheus ``/metrics`` page
   (:mod:`repro.service.metrics`) plus per-request ids through
   :mod:`repro.logging`;
 * **overload resilience** — per-request ``deadline_ms`` budgets
-  propagate wire -> gate -> batcher -> engine (structured 504s), a
+  bound the wait at the batcher and the handler (structured 504s), a
   brownout ladder (:mod:`repro.service.brownout`) degrades service in
   measured stages instead of collapsing, and SIGTERM drains in-flight
   work before exit.  See the resilience section of ``docs/service.md``.

@@ -3,8 +3,8 @@
 Pending requests are flushed as a single
 :meth:`~repro.engine.BatchSolver.evaluate_many` call, so wire-level
 traffic inherits the engine's batch economics: size sweeps collapse onto
-one shared Algorithm 1 Q-grid, cache misses fan out over the process
-pool, and every flush produces one :class:`~repro.engine.BatchMetrics`.
+one shared Algorithm 1 Q-grid, repeated keys are solved once, and every
+flush produces one :class:`~repro.engine.BatchMetrics`.
 
 The flush runner executes on a single dedicated worker thread (the
 engine is thread-safe, but serializing flushes keeps its metrics
@@ -30,9 +30,9 @@ Resilience
   thread the moment the runner starts: a member whose deadline has
   passed by then (including one that waited behind a computing flush)
   is dropped — its future resolves with :class:`RequestExpiredError`
-  instead of occupying a batch slot — and when *every* live member
-  carries a deadline, the runner receives the latest remaining budget
-  so the engine can abandon attempts no client is still waiting for.
+  instead of occupying a batch slot.  A runner that has started runs
+  to completion: a solve is never abandoned midway (the waiting
+  handler's own bounded await answers the client).
 * **Worker supervision** — a flush whose runner dies with an
   infrastructure error (not a solver error: the engine runs non-strict
   and returns :class:`~repro.engine.FailedResult` envelopes for those)
@@ -43,7 +43,6 @@ Resilience
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, NamedTuple
@@ -79,7 +78,7 @@ class MicroBatcher:
 
     def __init__(
         self,
-        runner: Callable[..., list[Any]],
+        runner: Callable[[list[SolveRequest]], list[Any]],
         *,
         window: float = 0.0,
         max_batch: int = 256,
@@ -105,21 +104,6 @@ class MicroBatcher:
         self.expired_requests = 0
         #: Times the worker executor was rebuilt after a runner death.
         self.worker_respawns = 0
-
-    @staticmethod
-    def _accepts_deadline(runner: Callable[..., list[Any]]) -> bool:
-        """Whether ``runner`` takes a second ``task_deadline`` argument."""
-        try:
-            parameters = inspect.signature(runner).parameters
-        except (TypeError, ValueError):  # pragma: no cover - builtins
-            return False
-        positional = [
-            p for p in parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        return len(positional) >= 2 or any(
-            p.kind is p.VAR_POSITIONAL for p in parameters.values()
-        )
 
     @staticmethod
     def _new_executor() -> ThreadPoolExecutor:
@@ -232,10 +216,7 @@ class MicroBatcher:
     ) -> tuple[list[_Member], list[Any], float]:
         """The worker thread's side of a flush: expire, then run.
 
-        Expiry and the budget are judged here, when the runner starts:
-        the budget forwarded is the *latest* remaining deadline when
-        every live member has one (an attempt running past it serves
-        nobody), else None (some member is unbounded).  Returns the
+        Expiry is judged here, when the runner starts.  Returns the
         members served, their results and the runner's start instant.
         """
         now = time.monotonic()
@@ -250,15 +231,7 @@ class MicroBatcher:
             loop.call_soon_threadsafe(self._expire, expired)
         if not live:
             return live, [], now
-        budget: float | None = None
-        if all(member.deadline is not None for member in live):
-            budget = max(member.deadline for member in live) - now
-        requests = [member.request for member in live]
-        # Arity is probed per call: tests swap ``_runner`` for plain
-        # single-argument stubs after construction.
-        if self._accepts_deadline(self._runner):
-            return live, self._runner(requests, budget), now
-        return live, self._runner(requests), now
+        return live, self._runner([member.request for member in live]), now
 
     def _expire(self, members: list[_Member]) -> None:
         self.expired_requests += len(members)

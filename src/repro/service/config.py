@@ -19,10 +19,7 @@ single typed surface that replaces all of them:
   :meth:`from_toml` parses back to an equal config, so a running
   fleet's exact configuration can be checked into version control.
 
-The legacy keyword paths (``SolveService(host=..., port=...)``,
-``start_in_thread(gate_capacity=...)``) keep working behind
-``DeprecationWarning`` shims in :mod:`repro.service.server`; new code
-configures the service exclusively through this class.
+The service is configured exclusively through this class.
 """
 
 from __future__ import annotations
@@ -167,8 +164,6 @@ class ServiceConfig:
     #: Most requests one flush carries; an idle micro-batcher flushes
     #: at once when this many are pending.
     max_batch: int = 256
-    #: Forwarded to ``evaluate_many`` (None: the engine decides).
-    parallel: bool | None = None
     #: Artificial per-request token-holding time (seconds) *after* the
     #: solve completes.  0 in production; load tests set it to emulate
     #: a call-holding time so the gate reproduces classical loss-system
@@ -277,17 +272,6 @@ class ServiceConfig:
     def from_args(cls, args: Any) -> "ServiceConfig":
         """Build from a ``crossbar-repro serve`` argparse namespace."""
         return _build(_args_overrides(args))
-
-    @classmethod
-    def from_legacy_kwargs(cls, kwargs: dict) -> "ServiceConfig":
-        """Build from the pre-1.2 flat keyword spelling (shim path)."""
-        service_fields = {f.name for f in fields(cls)}
-        unknown = sorted(set(kwargs) - service_fields)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown service option(s): {', '.join(unknown)}"
-            )
-        return cls(**kwargs)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -462,8 +446,6 @@ def _coerce_env(key: str, raw: str, spec: dataclasses.Field) -> Any:
             value = int(raw)
         elif kind.startswith("float"):
             value = float(raw)
-        elif "bool | None" in kind:
-            value = _parse_bool(key, raw)
         else:
             value = raw
     except ValueError as exc:
@@ -535,7 +517,7 @@ def _toml_line(name: str, value: Any) -> list[str]:
             return [f"{name} = 0.0"]
         if name in _NONE_WHEN_EMPTY:
             return [f'{name} = ""']
-        return []  # tri-state (e.g. parallel): omitted means default
+        return []  # omitted means default
     if isinstance(value, bool):
         return [f"{name} = {'true' if value else 'false'}"]
     if isinstance(value, (int, float)):

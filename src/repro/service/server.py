@@ -33,7 +33,6 @@ import math
 import signal
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -74,28 +73,9 @@ __all__ = ["ServiceConfig", "ClusterConfig", "SolveService",
 
 logger = get_logger("service")
 
-_LEGACY_KWARGS_HINT = (
-    "configuring the service through keyword arguments is deprecated "
-    "and will be removed in 2.0; build a repro.service.ServiceConfig "
-    "(or use ServiceConfig.load for TOML/env/CLI layering) and pass "
-    "it as `config` instead"
-)
-
-
-def _config_from_legacy(
-    config: ServiceConfig | None, kwargs: dict
-) -> ServiceConfig | None:
-    """Resolve the deprecated flat-kwargs spelling into a config."""
-    if not kwargs:
-        return config
-    if config is not None:
-        raise ConfigurationError(
-            "pass either a ServiceConfig or legacy keyword arguments, "
-            "not both"
-        )
-    warnings.warn(_LEGACY_KWARGS_HINT, DeprecationWarning, stacklevel=3)
-    return ServiceConfig.from_legacy_kwargs(kwargs)
-
+#: Entries each per-daemon memo (decoded bodies, encoded results) holds
+#: before it is cleared and refilled.
+_MEMO_CAP = 4096
 
 class _Instruments:
     """Every metric the daemon exports, built on one registry."""
@@ -215,8 +195,7 @@ class _Instruments:
         )
         for fname in ("requests", "memory_hits", "disk_hits", "grid_groups",
                       "grid_points", "solved", "elapsed", "hit_rate",
-                      "retries", "timeouts", "hedges", "failed",
-                      "tasks_lost", "pool_respawns", "breaker_trips"):
+                      "retries", "failed", "breaker_trips"):
             last_batch.set(
                 (lambda f=fname: self._last_batch_field(engine, f)),
                 field=fname,
@@ -309,9 +288,7 @@ class SolveService:
         self,
         config: ServiceConfig | None = None,
         engine: BatchSolver | None = None,
-        **legacy: Any,
     ) -> None:
-        config = _config_from_legacy(config, legacy)
         self.config = config or ServiceConfig()
         self.engine = engine if engine is not None else get_default_engine()
         self.gate = AdmissionGate(self.config.gate_capacity)
@@ -349,6 +326,9 @@ class SolveService:
         # a request's encoded result fragment never changes; hot repeat
         # requests splice it into the envelope instead of re-encoding.
         self._result_memo: dict[str, bytes] = {}
+        # Both memos hold at most _MEMO_CAP entries: a full memo is
+        # cleared before its next insert, so a shifting working set
+        # keeps getting memoized.
         self._shard_header = (
             None if self.config.shard_index is None
             else str(self.config.shard_index)
@@ -386,7 +366,7 @@ class SolveService:
         ``config.drain_timeout``) for every admitted request — leaders
         *and* coalesced followers — to resolve.  Returns True when the
         daemon drained clean, False on timeout (callers stop anyway;
-        the engine's supervisor fails the remnants with structured
+        closing the batcher fails the queued remnants with structured
         envelopes rather than leaking them).
         """
         self._draining = True
@@ -756,10 +736,9 @@ class SolveService:
                 budget = decode_deadline_ms(payload)
             except CrossbarError as exc:
                 return self._bad_request(request_id, str(exc))
-            if (
-                self.config.hot_cache_fast_path
-                and len(self._parse_memo) < 4096
-            ):
+            if self.config.hot_cache_fast_path:
+                if len(self._parse_memo) >= _MEMO_CAP:
+                    self._parse_memo.clear()
                 self._parse_memo[http.body] = (request, budget)
         if self._draining:
             return self._shutting_down(request_id)
@@ -794,8 +773,6 @@ class SolveService:
             self.gate.release(lease)
             self._note_hold(time.perf_counter() - began)
         if getattr(result, "failed", False):
-            if budget is not None and result.error_type == "TaskDeadlineError":
-                return self._deadline_exceeded(request_id, budget, "engine")
             self.instruments.solve_failures.inc()
             return _Reply(500, {
                 "id": request_id,
@@ -820,8 +797,9 @@ class SolveService:
         fragment = self._result_memo.get(request.cache_key)
         if fragment is None:
             fragment = json.dumps(encode_result(result)).encode("utf-8")
-            if len(self._result_memo) < 4096:
-                self._result_memo[request.cache_key] = fragment
+            if len(self._result_memo) >= _MEMO_CAP:
+                self._result_memo.clear()
+            self._result_memo[request.cache_key] = fragment
         tail = (
             f', "coalesced": {"true" if coalesced else "false"}'
             f', "from_cache": {"true" if result.from_cache else "false"}'
@@ -1196,21 +1174,15 @@ class SolveService:
         async with asyncio.timeout(remaining):
             return await shielded
 
-    def _run_batch(
-        self,
-        requests: list[SolveRequest],
-        task_deadline: float | None = None,
-    ) -> list[Any]:
-        """The flush runner (worker thread): one engine batch.
+    def _run_batch(self, requests: list[SolveRequest]) -> list[Any]:
+        """The flush runner (worker thread): one serial engine batch.
 
-        ``task_deadline`` is the remaining wall-clock budget the
-        micro-batcher computed from its members' deadlines (None when
-        any member is unbounded); the engine bounds each fresh solve
-        attempt by it.
+        Never a process pool: at the daemon's solve sizes forking one
+        per flush costs more than it saves, and it would fork a
+        multi-threaded process.
         """
         return self.engine.evaluate_many(
-            requests, parallel=self.config.parallel, strict=False,
-            task_deadline=task_deadline,
+            requests, parallel=False, strict=False
         )
 
     def _observe_flush(self, batch_size: int, elapsed: float) -> None:
@@ -1295,10 +1267,8 @@ def serve(
     config: ServiceConfig | None = None,
     engine: BatchSolver | None = None,
     on_started: Callable[[SolveService], None] | None = None,
-    **legacy: Any,
 ) -> None:
     """Run the daemon in the current thread until interrupted."""
-    config = _config_from_legacy(config, legacy)
     asyncio.run(_serve_async(config or ServiceConfig(), engine, on_started))
 
 
@@ -1358,14 +1328,12 @@ class ServiceHandle:
 def start_in_thread(
     config: ServiceConfig | None = None,
     engine: BatchSolver | None = None,
-    **legacy: Any,
 ) -> ServiceHandle:
     """Start a daemon on a fresh daemon thread; returns its handle.
 
     The default config binds an ephemeral port (``port=0``); read it
     back from ``handle.port``.
     """
-    config = _config_from_legacy(config, legacy)
     config = config or ServiceConfig(port=0)
     started = threading.Event()
     box: dict[str, Any] = {}

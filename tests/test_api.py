@@ -167,17 +167,6 @@ class TestSolveResult:
 
 
 class TestEntryPoints:
-    def test_solve_legacy_form_warns_and_works(self, classes):
-        dims = SwitchDimensions.square(6)
-        with pytest.warns(DeprecationWarning):
-            legacy = solve(dims, list(classes), "convolution")
-        assert legacy == solve(SolveRequest(dims, classes))
-
-    def test_solve_rejects_mixed_forms(self, classes):
-        request = SolveRequest.square(6, classes)
-        with pytest.raises(ConfigurationError):
-            solve(request, list(classes))
-
     def test_solve_requires_classes_with_dims(self):
         with pytest.raises(ConfigurationError):
             solve(SwitchDimensions.square(4))

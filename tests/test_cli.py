@@ -274,35 +274,6 @@ class TestResilienceFlags:
         yield
         reset_default_engine()
 
-    def test_flags_parse_before_subcommand(self):
-        args = build_parser().parse_args(
-            ["--max-retries", "5", "--task-deadline", "2.5",
-             "--no-hedging", "table1"]
-        )
-        assert args.max_retries == 5
-        assert args.task_deadline == 2.5
-        assert args.no_hedging
-
-    def test_flags_configure_default_engine(self, capsys):
-        from repro.engine import get_default_engine
-
-        assert main(
-            ["--max-retries", "5", "--task-deadline", "2.5",
-             "solve", "--n", "3", "--poisson", "0.05"]
-        ) == 0
-        config = get_default_engine().config
-        assert config.max_retries == 5
-        assert config.task_deadline == 2.5
-        assert "Crossbar 3x3" in capsys.readouterr().out
-
-    def test_no_hedging_overrides_hedge_after(self):
-        from repro.engine import get_default_engine
-
-        assert main(
-            ["--hedge-after", "1.0", "--no-hedging", "table1"]
-        ) == 0
-        assert get_default_engine().config.hedge_after is None
-
     def test_no_flags_leave_engine_untouched(self):
         from repro.engine import get_default_engine, set_default_engine
 

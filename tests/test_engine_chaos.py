@@ -1,14 +1,17 @@
-"""Chaos harness drills: seed-driven fault injection against full
-50-point sweeps, asserting recovery is byte-identical to a clean run.
+"""Chaos harness drills: disk-cache faults and real solver failures
+against full 50-point sweeps, asserting recovery is byte-identical to a
+clean run.
 
 Every solve is a pure function of its request, and ``SolveResult``
 equality deliberately excludes timing/provenance fields — so a batch
-that survived a worker kill, a blown deadline, or a corrupted cache
-entry must compare *equal* to the fault-free batch.  That equality is
-the resilience layer's correctness contract.
+that survived a corrupted or denied cache entry must compare *equal* to
+the fault-free batch, and a batch holding one inadmissible request must
+match it everywhere but that request's slot.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -22,16 +25,8 @@ from repro.engine import (
     FailedResult,
     corrupt_entry,
 )
-from repro.engine.chaos import (
-    ALL_ATTEMPTS,
-    KIND_ERROR,
-    KIND_KILL,
-    CacheFaultInjector,
-    ChaosFault,
-    FaultPlan,
-    WorkerKilledError,
-)
-from repro.exceptions import ConfigurationError
+from repro.engine.chaos import CacheFaultInjector, ChaosFault, FaultPlan
+from repro.exceptions import ConfigurationError, InvalidParameterError
 from repro.methods import SolveMethod
 
 SEED = 1992  # the paper's year; any seed works, this one is pinned
@@ -59,41 +54,24 @@ def requests(classes):
 @pytest.fixture(scope="module")
 def clean(requests):
     """Fault-free reference results, solved serially (once)."""
-    return BatchSolver(
-        EngineConfig(max_retries=0)
-    ).evaluate_many(requests, parallel=False)
+    return BatchSolver(EngineConfig()).evaluate_many(
+        requests, parallel=False
+    )
+
+
+def inadmissible_request() -> SolveRequest:
+    """A real solver failure: a non-integer Bernoulli source count
+    (15.5) whose arrival rate goes negative inside the state space at
+    n = 400, so every solve raises :class:`InvalidParameterError`."""
+    return SolveRequest.square(400, (
+        TrafficClass(0.31, 0.2), TrafficClass(0.155, -0.01, a=2),
+    ))
 
 
 class TestFaultPlans:
-    def test_from_seed_is_deterministic(self):
-        a = FaultPlan.from_seed(SEED, tasks=N_POINTS, kills=1, delays=2)
-        b = FaultPlan.from_seed(SEED, tasks=N_POINTS, kills=1, delays=2)
-        assert a == b
-        c = FaultPlan.from_seed(SEED + 1, tasks=N_POINTS, kills=1, delays=2)
-        assert a != c
-
-    def test_from_seed_victims_are_distinct(self):
-        plan = FaultPlan.from_seed(
-            SEED, tasks=10, kills=3, delays=3, errors=3
-        )
-        victims = [f.task for f in plan.task_faults]
-        assert len(victims) == len(set(victims)) == 9
-
-    def test_from_seed_rejects_overcommitment(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.from_seed(SEED, tasks=2, kills=3)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             ChaosFault("melt-the-switch")
-
-    def test_kill_applied_in_process_raises(self):
-        plan = FaultPlan(faults=(ChaosFault(KIND_KILL, task=0),))
-        with pytest.raises(WorkerKilledError):
-            plan.apply_task(0, 0, in_worker=False)
-        # Non-matching task/attempt: no-op.
-        plan.apply_task(1, 0, in_worker=False)
-        plan.apply_task(0, 1, in_worker=False)
 
     def test_cache_injector_respects_count_budget(self, tmp_path):
         plan = FaultPlan(
@@ -108,44 +86,6 @@ class TestFaultPlans:
         assert len(injector.fired) == 2
 
 
-class TestWorkerKillRecovery:
-    def test_sweep_survives_a_worker_kill(self, requests, clean):
-        plan = FaultPlan.from_seed(SEED, tasks=N_POINTS, kills=1)
-        engine = BatchSolver(EngineConfig(chaos=plan, processes=2))
-        results = engine.evaluate_many(requests, parallel=True)
-        assert results == clean
-        metrics = engine.last_metrics
-        assert metrics.failed == 0
-        assert metrics.pool_respawns >= 1
-        assert metrics.tasks_lost >= 1
-
-    def test_kill_simulated_in_serial_batch_is_retried(
-        self, requests, clean
-    ):
-        plan = FaultPlan.from_seed(SEED, tasks=N_POINTS, kills=1)
-        engine = BatchSolver(EngineConfig(chaos=plan))
-        results = engine.evaluate_many(requests, parallel=False)
-        assert results == clean
-        assert engine.last_metrics.retries >= 1
-        assert engine.last_metrics.failed == 0
-
-
-class TestDeadlineRecovery:
-    def test_sweep_survives_a_delayed_task(self, requests, clean):
-        plan = FaultPlan.from_seed(
-            SEED, tasks=N_POINTS, kills=0, delays=1, delay_duration=2.0
-        )
-        engine = BatchSolver(
-            EngineConfig(chaos=plan, task_deadline=0.4, processes=2)
-        )
-        results = engine.evaluate_many(requests, parallel=True)
-        assert results == clean
-        metrics = engine.last_metrics
-        assert metrics.timeouts >= 1
-        assert metrics.retries >= 1
-        assert metrics.failed == 0
-
-
 class TestCacheCorruptionRecovery:
     def test_sweep_survives_a_corrupted_entry(
         self, tmp_path, requests, clean
@@ -157,9 +97,7 @@ class TestCacheCorruptionRecovery:
 
         # Chaos corrupts the seed-chosen victim's entry right before
         # the engine reads it.
-        victim = FaultPlan.from_seed(
-            SEED, tasks=N_POINTS, kills=1
-        ).task_faults[0].task
+        victim = random.Random(SEED).sample(range(N_POINTS), k=1)[0]
         victim_key = requests[victim].cache_key
         plan = FaultPlan(
             faults=(
@@ -200,37 +138,26 @@ class TestPermanentFailure:
         self, requests, clean
     ):
         victim = 7
-        plan = FaultPlan(
-            faults=(
-                ChaosFault(
-                    KIND_ERROR, task=victim, attempt=ALL_ATTEMPTS
-                ),
-            )
-        )
-        engine = BatchSolver(
-            EngineConfig(chaos=plan, processes=2, max_retries=1)
-        )
-        results = engine.evaluate_many(requests, parallel=True)
+        batch = requests[:10]  # nine good points and the victim
+        batch[victim] = inadmissible_request()
+        engine = BatchSolver(EngineConfig(processes=2))
+        results = engine.evaluate_many(batch, parallel=True)
+        assert engine.last_metrics.parallel
         failure = results[victim]
         assert isinstance(failure, FailedResult)
-        assert failure.error_type == "OSError"
-        assert len(failure.attempts) == 2  # original + 1 retry
+        assert failure.error_type == "InvalidParameterError"
+        assert [a.outcome for a in failure.attempts] == ["error"]
         others = [r for i, r in enumerate(results) if i != victim]
-        expected = [r for i, r in enumerate(clean) if i != victim]
+        expected = [r for i, r in enumerate(clean[:10]) if i != victim]
         assert others == expected
         assert engine.last_metrics.failed == 1
 
     def test_parallel_strict_reraises(self, requests):
-        plan = FaultPlan(
-            faults=(
-                ChaosFault(KIND_ERROR, task=7, attempt=ALL_ATTEMPTS),
-            )
-        )
-        engine = BatchSolver(
-            EngineConfig(chaos=plan, processes=2, max_retries=0)
-        )
-        with pytest.raises(OSError):
-            engine.evaluate_many(requests, parallel=True, strict=True)
+        batch = requests[:10]
+        batch[7] = inadmissible_request()
+        engine = BatchSolver(EngineConfig(processes=2))
+        with pytest.raises(InvalidParameterError):
+            engine.evaluate_many(batch, parallel=True, strict=True)
 
 
 class TestBreakerUnderChaos:

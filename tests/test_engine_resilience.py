@@ -1,12 +1,11 @@
-"""The engine's fault-tolerance layer: breaker, retries, deadlines,
-hedging, failure envelopes, and disk-cache hardening."""
+"""The engine's fault-tolerance layer: breaker, failure envelopes for
+real solver errors, and disk-cache hardening."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
 import os
-import threading
 import time
 
 import pytest
@@ -22,11 +21,8 @@ from repro.engine import (
     DiskCache,
     EngineConfig,
     FailedResult,
-    TaskDeadlineError,
 )
-from repro.engine.batch import _call_with_deadline, _deterministic_backoff
-from repro.engine.chaos import ALL_ATTEMPTS, ChaosFault, FaultPlan
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InvalidParameterError
 from repro.methods import SolveMethod
 
 
@@ -48,6 +44,22 @@ def mva_requests(classes, sizes):
         SolveRequest.square(n, classes, method=SolveMethod.MVA)
         for n in sizes
     ]
+
+
+#: Slot of the inadmissible request in :func:`batch_with_failure`.
+VICTIM = 4
+
+
+def batch_with_failure(classes):
+    """Nine good MVA requests and, at :data:`VICTIM`, a real solver
+    failure: a non-integer Bernoulli source count (15.5) whose arrival
+    rate goes negative inside the state space at n = 400, so every
+    solve raises :class:`InvalidParameterError`."""
+    batch = mva_requests(classes, range(3, 12))
+    batch.insert(VICTIM, SolveRequest.square(400, (
+        TrafficClass(0.31, 0.2), TrafficClass(0.155, -0.01, a=2),
+    )))
+    return batch
 
 
 class FakeClock:
@@ -163,190 +175,55 @@ class TestCircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# Backoff + deadline primitives
-# ----------------------------------------------------------------------
-
-
-class TestBackoff:
-    def test_deterministic(self):
-        a = _deterministic_backoff("key", 1, 0.1, 2.0)
-        b = _deterministic_backoff("key", 1, 0.1, 2.0)
-        assert a == b
-
-    def test_jitter_within_half_to_full(self):
-        for retry in (1, 2, 3):
-            delay = _deterministic_backoff("key", retry, 0.1, 100.0)
-            nominal = 0.1 * 2.0 ** (retry - 1)
-            assert 0.5 * nominal <= delay <= nominal
-
-    def test_cap_and_disabled(self):
-        assert _deterministic_backoff("key", 10, 0.1, 0.5) == 0.5
-        assert _deterministic_backoff("key", 0, 0.1, 2.0) == 0.0
-        assert _deterministic_backoff("key", 1, 0.0, 2.0) == 0.0
-
-    def test_varies_across_keys(self):
-        delays = {
-            _deterministic_backoff(f"key{i}", 1, 0.1, 2.0)
-            for i in range(8)
-        }
-        assert len(delays) > 1
-
-
-class TestCallWithDeadline:
-    def test_result_passes_through(self):
-        assert _call_with_deadline(lambda: 42, 5.0, name="t") == 42
-
-    def test_exception_passes_through(self):
-        with pytest.raises(ValueError):
-            _call_with_deadline(
-                lambda: (_ for _ in ()).throw(ValueError("boom")),
-                5.0,
-                name="t",
-            )
-
-    def test_timeout_raises_and_thread_is_daemon(self):
-        release = threading.Event()
-        with pytest.raises(TaskDeadlineError):
-            _call_with_deadline(
-                lambda: release.wait(30.0), 0.05, name="stuck"
-            )
-        stuck = [
-            t for t in threading.enumerate()
-            if t.name == "engine-stuck"
-        ]
-        assert stuck, "abandoned worker thread should still be alive"
-        assert all(t.daemon for t in stuck)
-        release.set()
-
-
-# ----------------------------------------------------------------------
-# Supervised batches: retries, deadlines, hedging, failure envelopes
+# Batches holding a request whose solver raises
 # ----------------------------------------------------------------------
 
 
 class TestSupervisedBatches:
-    def test_transient_error_is_retried_serial(self, classes):
-        chaos = FaultPlan(
-            faults=(ChaosFault("transient-error", task=1, attempt=0),)
-        )
-        engine = fresh_engine(chaos=chaos)
-        requests = mva_requests(classes, [3, 4, 5])
-        clean = fresh_engine().evaluate_many(requests, parallel=False)
-        results = engine.evaluate_many(requests, parallel=False)
-        assert results == clean
-        metrics = engine.last_metrics
-        assert metrics.retries >= 1
-        assert metrics.failed == 0
-
-    def test_deadline_timeout_is_retried_serial(self, classes):
-        chaos = FaultPlan(
-            faults=(
-                ChaosFault("delay", task=0, attempt=0, duration=1.0),
-            )
-        )
-        engine = fresh_engine(chaos=chaos, task_deadline=0.2)
-        requests = mva_requests(classes, [3, 4])
-        clean = fresh_engine().evaluate_many(requests, parallel=False)
-        results = engine.evaluate_many(requests, parallel=False)
-        assert results == clean
-        metrics = engine.last_metrics
-        assert metrics.timeouts >= 1
-        assert metrics.retries >= 1
-
     def test_permanent_failure_yields_failed_result(self, classes):
-        chaos = FaultPlan(
-            faults=(
-                ChaosFault(
-                    "transient-error", task=1, attempt=ALL_ATTEMPTS
-                ),
-            )
-        )
-        engine = fresh_engine(chaos=chaos, max_retries=1)
-        requests = mva_requests(classes, [3, 4, 5])
-        results = engine.evaluate_many(requests, parallel=False)
-        assert not getattr(results[0], "failed", False)
-        assert not getattr(results[2], "failed", False)
-        failure = results[1]
+        engine = fresh_engine()
+        batch = batch_with_failure(classes)
+        results = engine.evaluate_many(batch, parallel=False)
+        assert not engine.last_metrics.parallel
+        failure = results[VICTIM]
         assert isinstance(failure, FailedResult)
-        assert failure.error_type == "OSError"
-        assert "chaos" in failure.error_message
-        # 1 original + 1 retry, all recorded
-        assert len(failure.attempts) == 2
-        assert [a.outcome for a in failure.attempts] == ["error", "error"]
+        assert failure.request == batch[VICTIM]
+        assert failure.error_type == "InvalidParameterError"
+        assert "non-integer source count" in failure.error_message
+        assert [a.outcome for a in failure.attempts] == ["error"]
+        assert failure.attempts[0].detail.startswith(
+            "InvalidParameterError"
+        )
+        good = batch[:VICTIM] + batch[VICTIM + 1:]
+        clean = fresh_engine().evaluate_many(good, parallel=False)
+        assert results[:VICTIM] + results[VICTIM + 1:] == clean
         assert engine.last_metrics.failed == 1
+        assert engine.last_metrics.retries == 0
         payload = json.dumps(failure.to_dict())
-        assert "transient" in payload
+        assert "InvalidParameterError" in payload
 
     def test_strict_mode_reraises(self, classes):
-        chaos = FaultPlan(
-            faults=(
-                ChaosFault(
-                    "transient-error", task=0, attempt=ALL_ATTEMPTS
-                ),
-            )
-        )
-        engine = fresh_engine(chaos=chaos, max_retries=0)
-        requests = mva_requests(classes, [3, 4])
-        with pytest.raises(OSError):
-            engine.evaluate_many(requests, parallel=False, strict=True)
-
-    def test_strict_batch_config_default(self, classes):
-        chaos = FaultPlan(
-            faults=(
-                ChaosFault(
-                    "transient-error", task=0, attempt=ALL_ATTEMPTS
-                ),
-            )
-        )
-        engine = fresh_engine(
-            chaos=chaos, max_retries=0, strict_batch=True
-        )
-        with pytest.raises(OSError):
-            engine.evaluate_many(
-                mva_requests(classes, [3, 4]), parallel=False
+        with pytest.raises(InvalidParameterError):
+            fresh_engine().evaluate_many(
+                batch_with_failure(classes), parallel=False, strict=True
             )
 
     def test_solve_many_strict_passthrough(self, classes):
-        chaos = FaultPlan(
-            faults=(
-                ChaosFault(
-                    "transient-error", task=0, attempt=ALL_ATTEMPTS
-                ),
-            )
-        )
-        engine = fresh_engine(chaos=chaos, max_retries=0)
-        requests = mva_requests(classes, [3, 4])
+        engine = fresh_engine()
+        requests = batch_with_failure(classes)
         results = solve_many(requests, engine=engine, parallel=False)
-        assert isinstance(results[0], FailedResult)
-        with pytest.raises(OSError):
+        assert isinstance(results[VICTIM], FailedResult)
+        with pytest.raises(InvalidParameterError):
             solve_many(
                 requests, engine=engine, parallel=False, strict=True
             )
 
-    def test_hedging_launches_and_wins(self, classes):
-        chaos = FaultPlan(
-            faults=(
-                ChaosFault("delay", task=0, attempt=0, duration=3.0),
-            )
-        )
-        engine = fresh_engine(
-            chaos=chaos, hedge_after=0.2, processes=2
-        )
-        requests = mva_requests(classes, [3, 4])
-        clean = fresh_engine().evaluate_many(requests, parallel=False)
-        results = engine.evaluate_many(requests, parallel=True)
-        assert results == clean
-        metrics = engine.last_metrics
-        assert metrics.hedges >= 1
-        assert metrics.hedges_won >= 1
-        assert metrics.failed == 0
-
     def test_unsupervised_config_uses_plain_fanout(self, classes):
-        engine = fresh_engine(max_retries=0, processes=2)
-        assert not engine.config.supervised
+        engine = fresh_engine(processes=2)
         requests = mva_requests(classes, [3, 4, 5, 6])
         clean = fresh_engine().evaluate_many(requests, parallel=False)
         results = engine.evaluate_many(requests, parallel=True)
+        assert engine.last_metrics.parallel
         # SolveResult equality ignores elapsed/from_cache, so this is
         # the byte-identity claim for the numbers.
         assert results == clean

@@ -168,6 +168,44 @@ async def post_raw(port: int, path: str, payload: dict) -> tuple[int, dict]:
     return int(head.split()[1]), reply
 
 
+def test_full_memos_are_refilled_not_frozen(monkeypatch):
+    """A memo holding 4096 entries is cleared before the next insert:
+    a new body seen twice is decoded once and served from the memo."""
+    import repro.service.server as server_module
+
+    decoded: list[int] = []
+    real_decode = server_module.decode_request
+
+    def counting_decode(payload):
+        decoded.append(1)
+        return real_decode(payload)
+
+    monkeypatch.setattr(server_module, "decode_request", counting_decode)
+    request = mixed_request(5)
+    with start_in_thread(
+        ServiceConfig(port=0), engine=BatchSolver(EngineConfig())
+    ) as handle:
+        service = handle.service
+        filler = table1_requests(4)[0]
+        for i in range(4096):  # 4096 distinct bodies and keys seen
+            service._parse_memo[b"filler-%d" % i] = (filler, None)
+            service._result_memo[f"filler-{i}"] = b"{}"
+
+        async def twice() -> list[tuple[int, dict]]:
+            payload = {"request": request.to_dict()}
+            return [
+                await post_raw(handle.port, "/solve", payload)
+                for _ in range(2)
+            ]
+
+        replies = asyncio.run(twice())
+        assert [status for status, _ in replies] == [200, 200]
+        assert decode_result(replies[1][1]["result"]) == solve(request)
+        assert decoded == [1]  # the second sighting hit the parse memo
+        assert len(service._parse_memo) == 1
+        assert list(service._result_memo) == [request.cache_key]
+
+
 def test_batch_byte_identical_to_independent_point_solves(client):
     """Each member of a 32-point /batch equals its own point solve (not
     a shared-grid read, which is the code under test)."""

@@ -1,11 +1,10 @@
 """The typed ServiceConfig surface: loaders, precedence, round-trip.
 
-The contract under test is the PR-7 API redesign: one frozen dataclass
-is the only way new code configures the daemon or a cluster, every bad
-value raises ``ConfigurationError`` at construction time, the three
-loaders layer with fixed precedence (defaults < TOML < env < args),
-``to_toml`` round-trips through ``from_toml`` to an equal config, and
-the pre-1.2 keyword spellings still work behind DeprecationWarnings.
+The contract under test: one frozen dataclass is the only way code
+configures the daemon or a cluster, every bad value raises
+``ConfigurationError`` at construction time, the three loaders layer
+with fixed precedence (defaults < TOML < env < args), and ``to_toml``
+round-trips through ``from_toml`` to an equal config.
 """
 
 from __future__ import annotations
@@ -222,31 +221,3 @@ def test_for_shard_builds_the_per_worker_view():
     ).for_shard(1, port=0)
     assert spray.reuse_port is True
     assert spray.port == 8400  # every worker shares the public port
-
-
-# ----------------------------------------------------------------------
-# Legacy keyword shims
-# ----------------------------------------------------------------------
-
-
-def test_legacy_server_kwargs_warn_but_work():
-    from repro.service.server import SolveService
-
-    with pytest.deprecated_call():
-        service = SolveService(port=0, gate_capacity=5)
-    assert service.config.gate_capacity == 5
-
-
-def test_legacy_kwargs_and_config_together_are_rejected():
-    from repro.service.server import SolveService
-
-    with pytest.raises(ConfigurationError):
-        SolveService(config=ServiceConfig(port=0), gate_capacity=5)
-
-
-def test_unknown_legacy_kwarg_is_rejected():
-    from repro.service.server import SolveService
-
-    with pytest.raises(ConfigurationError):
-        with pytest.deprecated_call():
-            SolveService(port=0, gate_capacty=5)

@@ -3,9 +3,9 @@
 The contract under stress mirrors the model's own philosophy — fail
 one request, never the fabric:
 
-* a client ``deadline_ms`` budget propagates wire -> gate -> batcher
-  -> engine, and a blown budget is a structured 504 with every
-  admission token returned;
+* a client ``deadline_ms`` budget bounds the batcher queue and the
+  handler's wait, a blown budget is a structured 504 with every
+  admission token returned, and the engine solves the request once;
 * a slow-loris peer is cut off by the read timeout without ever
   touching the gate;
 * a client that vanishes mid-request leaks nothing;
@@ -93,52 +93,6 @@ def test_decode_deadline_ms_rejects_garbage():
 # ----------------------------------------------------------------------
 
 
-def test_batcher_forwards_tightest_shared_budget():
-    """All members bounded => runner sees the latest remaining budget."""
-    seen: list[float | None] = []
-
-    def runner(requests, task_deadline):
-        seen.append(task_deadline)
-        return [object()] * len(requests)
-
-    async def scenario() -> None:
-        batcher = MicroBatcher(runner, window=0.01, max_batch=8)
-        loop = asyncio.get_running_loop()
-        now = time.monotonic()
-        futures = [loop.create_future() for _ in range(2)]
-        batcher.submit(point_request(4), futures[0], now + 0.5)
-        batcher.submit(point_request(5), futures[1], now + 1.0)
-        await asyncio.gather(*futures)
-        await batcher.close()
-
-    asyncio.run(scenario())
-    assert len(seen) == 1
-    # The batch budget is the *latest* member deadline (the shorter one
-    # is enforced per-request by the server's bounded await).
-    assert seen[0] == pytest.approx(1.0, abs=0.2)
-
-
-def test_batcher_unbounded_member_disables_batch_budget():
-    seen: list[float | None] = []
-
-    def runner(requests, task_deadline):
-        seen.append(task_deadline)
-        return [object()] * len(requests)
-
-    async def scenario() -> None:
-        batcher = MicroBatcher(runner, window=0.01, max_batch=8)
-        loop = asyncio.get_running_loop()
-        futures = [loop.create_future() for _ in range(2)]
-        batcher.submit(point_request(4), futures[0],
-                       time.monotonic() + 0.5)
-        batcher.submit(point_request(5), futures[1], None)
-        await asyncio.gather(*futures)
-        await batcher.close()
-
-    asyncio.run(scenario())
-    assert seen == [None]
-
-
 def test_batcher_drops_expired_members_at_flush():
     """An expired member never occupies a batch slot."""
     ran: list[int] = []
@@ -172,7 +126,7 @@ def test_batcher_expires_member_queued_behind_computing_flush():
     release = threading.Event()
     ran: list[int] = []
 
-    def gated_runner(requests, task_deadline):
+    def gated_runner(requests):
         ran.append(len(requests))
         entered.set()
         assert release.wait(5.0), "runner was never released"
@@ -263,9 +217,9 @@ def test_blown_deadline_returns_structured_504():
         # Slow the flush runner down far past the budget.
         real = service._run_batch
 
-        def slow_runner(requests, task_deadline=None):
+        def slow_runner(requests):
             time.sleep(0.3)
-            return real(requests, task_deadline)
+            return real(requests)
 
         service.batcher._runner = slow_runner
         client = ServiceClient(*handle.address)
@@ -288,9 +242,9 @@ def test_batch_deadline_applies_to_envelope():
         service = handle.service
         real = service._run_batch
 
-        def slow_runner(requests, task_deadline=None):
+        def slow_runner(requests):
             time.sleep(0.3)
-            return real(requests, task_deadline)
+            return real(requests)
 
         service.batcher._runner = slow_runner
         client = ServiceClient(*handle.address)
@@ -322,6 +276,34 @@ def test_deadline_504_reported_on_metrics():
             and not line.endswith(" 0")
         ]
         assert phased  # at least one phase bucket moved
+
+
+def test_blown_deadline_solves_the_request_once():
+    """A budget shorter than the solve bounds the client's wait, not the
+    engine: the flush runs the solve to completion exactly once, and no
+    abandoned duplicate keeps computing behind it."""
+    slow = SolveRequest.square(900, (
+        TrafficClass(0.30, 0.2),
+        TrafficClass(0.15, 0.1, a=2),
+        TrafficClass(0.10, 0.0, a=3),
+    ))  # ~0.1 s alone on a 2-vCPU host
+    engine = BatchSolver(EngineConfig())
+    with start_in_thread(
+        quiet_config(batch_window=0.0), engine=engine
+    ) as handle:
+        client = ServiceClient(*handle.address)
+        with pytest.raises(DeadlineExceededError):
+            client.solve(slow, deadline_ms=10)
+        batcher = handle.service.batcher
+        deadline = time.monotonic() + 10.0
+        while batcher.busy and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not batcher.busy
+        # Give any stray duplicate time to land before counting.
+        settle = time.monotonic() + 1.0
+        while engine.stats.solves <= 1 and time.monotonic() < settle:
+            time.sleep(0.02)
+        assert engine.stats.solves == 1
 
 
 # ----------------------------------------------------------------------
@@ -428,9 +410,9 @@ def test_drain_completes_inflight_work_and_followers():
         real = service._run_batch
         release = threading.Event()
 
-        def gated_runner(requests, task_deadline=None):
+        def gated_runner(requests):
             release.wait(5.0)
-            return real(requests, task_deadline)
+            return real(requests)
 
         service.batcher._runner = gated_runner
         request = point_request(6)
@@ -479,9 +461,9 @@ def test_drain_times_out_on_wedged_engine():
         real = service._run_batch
         wedge = threading.Event()
 
-        def wedged_runner(requests, task_deadline=None):
+        def wedged_runner(requests):
             wedge.wait(20.0)
-            return real(requests, task_deadline)
+            return real(requests)
 
         service.batcher._runner = wedged_runner
         client = ServiceClient(*handle.address, timeout=30.0)

@@ -7,7 +7,6 @@ import io
 
 import pytest
 
-from repro.core.mva import solve_mva
 from repro.core.traffic import TrafficClass
 from repro.exceptions import ConfigurationError
 from repro.experiments import SweepSpec, run_sweep, write_csv
@@ -47,15 +46,6 @@ class TestRunSweep:
             direct.concurrency(1)
         )
         assert row["utilization"] == pytest.approx(direct.utilization())
-
-    def test_custom_solver(self):
-        spec = SweepSpec(
-            name="s", sizes=[3], classes_for=_classes,
-            measures=("blocking",), solver=solve_mva,
-        )
-        with pytest.warns(DeprecationWarning, match="SweepSpec.solver"):
-            rows = run_sweep(spec)
-        assert rows[0]["blocking[p]"] > 0.0
 
     def test_unknown_measure_rejected(self):
         spec = SweepSpec(
@@ -102,44 +92,31 @@ class TestWriteCsv:
 
 class TestFailedPoints:
     def test_failed_point_becomes_error_row(self):
-        from repro.engine import (
-            BatchSolver,
-            ChaosFault,
-            EngineConfig,
-            FaultPlan,
-            set_default_engine,
-        )
-        from repro.engine.chaos import ALL_ATTEMPTS
+        def classes_for(n: int):
+            if n == 3:
+                return _classes(n)
+            # A real solver failure at the second point: a non-integer
+            # Bernoulli source count (15.5) whose arrival rate goes
+            # negative inside the n = 400 state space.
+            return [
+                TrafficClass(0.31, 0.2, name="p"),
+                TrafficClass(0.155, -0.01, a=2, name="pk"),
+            ]
 
-        # Size-dependent mixes prevent Q-grid grouping, so each point
-        # is its own supervised task; task 1 (n=4) fails permanently.
-        chaos = FaultPlan(
-            faults=(
-                ChaosFault(
-                    "transient-error", task=1, attempt=ALL_ATTEMPTS
-                ),
-            )
+        spec = SweepSpec(
+            name="s", sizes=[3, 400], classes_for=classes_for,
+            measures=("blocking",),
         )
-        previous = set_default_engine(
-            BatchSolver(EngineConfig(chaos=chaos, max_retries=0))
-        )
-        try:
-            spec = SweepSpec(
-                name="s", sizes=[3, 4], classes_for=_classes,
-                measures=("blocking",),
-            )
-            rows = run_sweep(spec)
-        finally:
-            set_default_engine(previous)
+        rows = run_sweep(spec)
         assert rows[0]["n"] == 3
         assert "blocking[p]" in rows[0]
         assert rows[1] == {
-            "n": 4,
+            "n": 400,
             "error": rows[1]["error"],
         }
-        assert rows[1]["error"].startswith("OSError")
+        assert rows[1]["error"].startswith("InvalidParameterError")
         # The union-of-columns CSV writer leaves the measures blank.
         text = write_csv(rows)
         reader = list(csv.DictReader(io.StringIO(text)))
         assert reader[1]["blocking[p]"] == ""
-        assert "OSError" in reader[1]["error"]
+        assert "InvalidParameterError" in reader[1]["error"]
