@@ -48,9 +48,17 @@ Package map
 
 Serving and load-generation names (``ServiceConfig``, ``ServiceClient``,
 ``serve_cluster``, ``LoadSpec``, ...) are promoted to this namespace but
-imported lazily, so ``import repro`` stays cheap for pure-analysis use.
+imported lazily (PEP 562), and nothing imported eagerly reaches scipy or
+the analysis-only packages (``ctmc``, ``sim``, ``multistage``,
+``workloads``, ``reporting``, ``verify``, ``extensions``): they load when
+first used.  So ``import repro`` costs numpy plus the solver core, and a
+serving process -- ``crossbar-repro serve``, or a fleet worker being
+respawned while its shard is out of service -- starts in a fraction of
+the time scipy alone takes to import.  ``tests/test_import_budget.py``
+holds that line.
 """
 
+from . import _lazy
 from .api import SolveRequest, SolveResult, solve, solve_many
 from .core import (
     AsymptoticSolution,
@@ -118,27 +126,14 @@ _LAZY_EXPORTS = {
     "start_in_thread": ".service",
 }
 
-
-def __getattr__(name: str):
-    module = _LAZY_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    from importlib import import_module
-
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__, _LAZY_EXPORTS, globals()
+)
 
 
 #: Version of last resort when the distribution metadata is absent
 #: (e.g. running from a source checkout via ``PYTHONPATH=src``).
-_FALLBACK_VERSION = "2.0.0"
+_FALLBACK_VERSION = "2.1.0"
 
 
 def _detect_version() -> str:

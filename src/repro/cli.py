@@ -24,17 +24,6 @@ from .core.state import SwitchDimensions
 from .core.traffic import TrafficClass
 from .exceptions import ConfigurationError, CrossbarError
 from .methods import SolveMethod
-from .multistage import TandemNetwork, analyze_tandem
-from .reporting.tables import format_table
-from .sim import compare_with_analysis, run_replications
-from .workloads import (
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    table1_rows,
-    table2_rows,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -459,6 +448,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    # The analysis packages (sim, multistage, workloads, reporting, and
+    # scipy behind them) are imported by the subcommands that use them,
+    # so a serving process never loads them.
+    if args.command == "serve":
+        return _cmd_serve(args)
+    if args.command == "loadgen":
+        return _cmd_loadgen(args)
+    if args.command == "batch":
+        return _cmd_batch(args)
+
     if args.command == "verify":
         from .verify import runner as verify_runner
         from .verify.invariants import INVARIANTS
@@ -482,14 +481,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(report.render())
         return 0 if report.passed else 1
 
+    from .reporting.tables import format_table
+
     if args.command in ("figure1", "figure2", "figure3", "figure4"):
-        builder = {
-            "figure1": figure1,
-            "figure2": figure2,
-            "figure3": figure3,
-            "figure4": figure4,
-        }[args.command]
-        figure = builder()
+        from . import workloads
+
+        figure = getattr(workloads, args.command)()
         print(figure.render(precision=args.precision))
         if args.plot:
             from .reporting import render_ascii_chart
@@ -510,6 +507,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if passed == len(checks) else 1
 
     if args.command == "table1":
+        from .workloads import table1_rows
+
         print(
             format_table(
                 ["N", "rho~1 (paper)", "rho~1 (formula)",
@@ -521,6 +520,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "table2":
+        from .workloads import table2_rows
+
         rows = table2_rows(args.param_set)
         print(
             format_table(
@@ -570,14 +571,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if args.command == "batch":
-        return _cmd_batch(args)
-
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-
     if args.command == "solve" and getattr(args, "config", None):
         from .io import load_model
 
@@ -607,6 +600,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "simulate":
+        from .sim import compare_with_analysis, run_replications
+
         summary = run_replications(
             dims, classes, horizon=args.horizon, warmup=args.warmup,
             replications=args.replications, seed=args.seed,
@@ -732,6 +727,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "multistage":
+        from .multistage import TandemNetwork, analyze_tandem
+
         network = TandemNetwork.uniform(args.stages, dims)
         result = analyze_tandem(network, classes)
         rows = [
@@ -764,6 +761,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     from .api import SolveRequest
     from .engine import get_default_engine
+    from .reporting.tables import format_table
 
     if args.requests:
         try:
@@ -865,7 +863,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``REPRO_SERVICE_*`` env < explicit flags."""
     import os
 
-    from .service import ServiceConfig, serve, serve_cluster
+    from .service import ServiceConfig, serve
 
     if args.verbose:
         import logging as _logging
@@ -895,6 +893,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # daemon absorbs as its clean-shutdown path, so serve() returns
         # normally; older loops re-raise KeyboardInterrupt instead.
         if workers > 1:
+            from .service import serve_cluster
+
             serve_cluster(config)
         else:
             serve(config)

@@ -32,25 +32,12 @@ Run it with ``crossbar-repro serve``; talk to it with
 ``docs/service.md``.
 """
 
+from .. import _lazy
 from .batcher import BatcherClosedError, MicroBatcher, RequestExpiredError
 from .brownout import (
     STAGE_NAMES,
     BrownoutConfig,
     ServicePressureController,
-)
-from .client import (
-    AdmissionRejectedError,
-    DeadlineExceededError,
-    RemoteSolveError,
-    RetryPolicy,
-    ServiceClient,
-    ServiceProtocolError,
-)
-from .cluster import (
-    ClusterHandle,
-    ClusterSupervisor,
-    serve_cluster,
-    start_cluster_in_thread,
 )
 from .coalesce import SingleFlight
 from .config import ClusterConfig, ServiceConfig
@@ -63,6 +50,25 @@ from .server import (
     start_in_thread,
 )
 from .sharding import HashRing
+
+#: Client- and fleet-side names resolved on first access (PEP 562), so
+#: a one-worker daemon never imports ``http.client`` or the supervisor.
+_LAZY_EXPORTS = {
+    "AdmissionRejectedError": ".client",
+    "DeadlineExceededError": ".client",
+    "RemoteSolveError": ".client",
+    "RetryPolicy": ".client",
+    "ServiceClient": ".client",
+    "ServiceProtocolError": ".client",
+    "ClusterHandle": ".cluster",
+    "ClusterSupervisor": ".cluster",
+    "serve_cluster": ".cluster",
+    "start_cluster_in_thread": ".cluster",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__, _LAZY_EXPORTS, globals()
+)
 
 __all__ = [
     "AdmissionGate",

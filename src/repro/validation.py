@@ -25,7 +25,6 @@ from .core.productform import solve_brute_force
 from .core.series_solver import solve_series
 from .core.state import SwitchDimensions, state_space_size
 from .core.traffic import TrafficClass
-from .ctmc import solve_ctmc
 from .exceptions import ComputationError
 from .methods import SolveMethod
 
@@ -172,6 +171,11 @@ def cross_validate(
             [dist.blocking_probability(r) for r in range(len(classes))],
             [dist.concurrency(r) for r in range(len(classes))],
         )
+        # The CTMC leg is the one that needs scipy: import it here so
+        # ``import repro`` (which reaches this module via repro.robust)
+        # stays free of scipy.
+        from .ctmc import solve_ctmc
+
         chain = solve_ctmc(dims, classes)
         record(
             "ctmc",
