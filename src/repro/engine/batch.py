@@ -633,14 +633,14 @@ class BatchSolver:
             if hit is None:
                 return None
             self.stats._add("memory_hits")
-            return self._adapt(hit, request)
+            return self._served(request.cache_key, hit, request)
         return self._lookup(request.cache_key, request)
 
     def _lookup(self, key: str, request: SolveRequest) -> SolveResult | None:
         hit = self._results.get(key)
         if hit is not None:
             self.stats._add("memory_hits")
-            return self._adapt(hit, request)
+            return self._served(key, hit, request)
         if self.disk is not None:
             payload = self.disk.load(key)
             if payload is not None:
@@ -656,8 +656,8 @@ class BatchSolver:
                         ) from exc
                     return None
                 self.stats._add("disk_hits")
-                self._results.put(key, result)
-                return self._adapt(result, request)
+                # Stores the served copy: later hits copy nothing.
+                return self._served(key, result, request)
         return None
 
     def _store(self, key: str, result: SolveResult) -> None:
@@ -666,14 +666,27 @@ class BatchSolver:
         if self.disk is not None:
             self.disk.store(key, result.to_dict())
 
-    def _adapt(self, hit: SolveResult, request: SolveRequest) -> SolveResult:
-        """Re-address a cached result to the incoming request."""
+    def _served(
+        self, key: str, hit: SolveResult, request: SolveRequest
+    ) -> SolveResult:
+        """A cached result as served to ``request``.
+
+        The LRU holds one served copy per result (``from_cache=True``,
+        ``elapsed=0.0``), made on the first hit and swapped in under
+        ``key``: a repeat of the stored request gets that same object
+        back, with nothing copied.  The store path makes no copy, so a
+        result that is never hit (a sweep point) never pays for one.
+        Another class order gets a re-addressed copy of it.
+        """
+        if not hit.from_cache:
+            hit = replace(hit, from_cache=True, elapsed=0.0)
+            self._results.put(key, hit)
+        if hit.request is request or hit.request == request:
+            return hit
         perm = _reorder_permutation(hit.request.classes, request.classes)
-        if perm is not None:
-            hit = hit.reordered(perm, request)
-        elif hit.request != request:
-            hit = replace(hit, request=request)
-        return replace(hit, from_cache=True, elapsed=0.0)
+        if perm is None:
+            return replace(hit, request=request)
+        return hit.reordered(perm, request)
 
     def _solution_memo_or_solve(self, request: SolveRequest) -> Any:
         key = request.cache_key

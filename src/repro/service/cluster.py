@@ -69,7 +69,14 @@ from ..engine.breaker import CircuitBreaker
 from ..exceptions import ConfigurationError
 from ..logging import get_logger, kv
 from .config import ServiceConfig
-from .httpio import HttpError, HttpRequest, read_request, write_response
+from .httpio import (
+    HttpError,
+    HttpRequest,
+    ReadDeadline,
+    read_deadline,
+    read_request,
+    write_response,
+)
 from .protocol import decode_request, decode_request_list, new_request_id
 from .server import serve
 from .sharding import HashRing, ring_point
@@ -648,13 +655,16 @@ class ClusterSupervisor:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        deadline = read_deadline(self.config.read_timeout)
         try:
             while True:
-                if not await self._serve_one(reader, writer):
+                if not await self._serve_one(reader, writer, deadline):
                     break
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
         finally:
+            if deadline is not None:
+                deadline.close()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -662,13 +672,14 @@ class ClusterSupervisor:
                 pass
 
     async def _serve_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        deadline: ReadDeadline | None,
     ) -> bool:
         request_id = new_request_id()
         try:
-            http = await read_request(
-                reader, timeout=self.config.read_timeout
-            )
+            http = await read_request(reader, deadline=deadline)
         except HttpError as exc:
             await self._write_json(
                 writer, exc.status,

@@ -12,15 +12,20 @@ daemon (admission, coalescing, batching) stay testable.
 Timeouts
 --------
 Both directions are clock-bounded so a misbehaving peer cannot pin a
-connection open.  Each bound is an ``asyncio.timeout`` on the calling
-task — one timer handle, no extra task and no extra event-loop turn:
+connection open, and neither bound creates a task or an extra
+event-loop turn:
 
-* **reads** — ``read_request(..., timeout=...)`` caps the wall-clock
-  spent waiting for the request head and, separately, for the body.
-  A peer that trickles bytes (slow loris) or stalls after the header
-  gets a :class:`HttpError` with status 408 and the connection is
-  closed; the request never reaches the admission gate, so it holds
-  no tokens.
+* **reads** — a :class:`ReadDeadline` passed to ``read_request(...,
+  deadline=...)`` caps the wall-clock spent waiting for the request
+  head and, separately, for the body: each phase must finish within
+  ``timeout`` seconds of its own start.  A peer that trickles bytes
+  (slow loris) or stalls after the header gets a :class:`HttpError`
+  with status 408 and the connection is closed; the request never
+  reaches the admission gate, so it holds no tokens.  One deadline
+  serves a whole keep-alive connection with a single timer: a phase
+  only stamps its start, and the timer is re-armed when it fires, so
+  a connection of short exchanges arms about one timer per
+  ``timeout`` window instead of two per request.
 * **writes** — ``write_response(..., timeout=...)`` caps the flush,
   but only when the kernel did not take the whole reply at once.  A
   reply that left nothing in the transport buffer has nothing to wait
@@ -40,7 +45,9 @@ from ..exceptions import ConfigurationError
 __all__ = [
     "HttpError",
     "HttpRequest",
+    "ReadDeadline",
     "SlowClientError",
+    "read_deadline",
     "read_request",
     "write_response",
 ]
@@ -89,34 +96,105 @@ class HttpRequest:
     body: bytes = b""
 
 
-async def _read_bounded(awaitable, timeout: float | None, what: str):
-    """Await a read, converting a stall into a 408 :class:`HttpError`."""
-    if timeout is None or timeout <= 0:
-        return await awaitable
-    try:
-        async with asyncio.timeout(timeout):
+class ReadDeadline:
+    """One connection's read bound: a single timer, re-armed lazily.
+
+    Each framing phase (:meth:`read`) must complete within ``timeout``
+    seconds of its own start.  A phase only stamps its start time; the
+    timer is armed when none is pending, and when it fires it either
+    finds the current phase overdue (cancels the connection task, which
+    :meth:`read` turns into a 408 the way ``asyncio.timeout`` turns its
+    cancellation into ``TimeoutError``), re-arms for the current
+    phase's own deadline, or — between phases — lets the next phase arm
+    it.  Build it on the task that reads; :meth:`close` when the
+    connection ends.
+    """
+
+    __slots__ = ("timeout", "_loop", "_task", "_handle", "_when",
+                 "_started", "_cancelling", "_expired")
+
+    def __init__(self, timeout: float) -> None:
+        self.timeout = timeout
+        self._loop = asyncio.get_running_loop()
+        self._task = asyncio.current_task()
+        self._handle: asyncio.TimerHandle | None = None
+        self._when = 0.0
+        #: Start of the phase being read; None between phases.
+        self._started: float | None = None
+        self._cancelling = 0
+        self._expired = False
+
+    async def read(self, awaitable, what: str):
+        """Await one framing phase, converting a stall into a 408."""
+        started = self._started = self._loop.time()
+        if self._handle is None:
+            self._arm(started + self.timeout)
+        self._cancelling = self._task.cancelling()
+        try:
             return await awaitable
-    except TimeoutError as exc:
-        raise HttpError(
-            408, f"timed out after {timeout:.3g}s reading the {what}"
-        ) from exc
+        except asyncio.CancelledError:
+            if self._expired:
+                self._expired = False
+                if self._task.uncancel() <= self._cancelling:
+                    raise HttpError(
+                        408,
+                        f"timed out after {self.timeout:.3g}s reading "
+                        f"the {what}",
+                    ) from None
+            raise
+        finally:
+            self._started = None
+
+    def close(self) -> None:
+        """Disarm the timer (the connection is done reading)."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _arm(self, when: float) -> None:
+        self._when = when
+        self._handle = self._loop.call_at(when, self._fire)
+
+    def _fire(self) -> None:
+        self._handle = None
+        if self._started is None:
+            return
+        due = self._started + self.timeout
+        if due <= self._when:
+            self._expired = True
+            self._task.cancel()
+        else:
+            self._arm(due)
+
+
+def read_deadline(timeout: float | None) -> ReadDeadline | None:
+    """The calling connection task's read deadline; None when
+    ``timeout`` is None or not positive (reads unbounded)."""
+    if timeout is None or timeout <= 0:
+        return None
+    return ReadDeadline(timeout)
+
+
+def _bounded(awaitable, deadline: ReadDeadline | None, what: str):
+    """``awaitable``, under ``deadline`` when there is one."""
+    return awaitable if deadline is None else deadline.read(awaitable, what)
 
 
 async def read_request(
     reader: asyncio.StreamReader,
     max_body: int = MAX_BODY_BYTES,
-    timeout: float | None = None,
+    deadline: ReadDeadline | None = None,
 ) -> HttpRequest | None:
     """Parse one request; None on a clean EOF before any bytes.
 
-    ``timeout`` bounds each framing phase (head, then body)
+    ``deadline`` bounds each framing phase (head, then body)
     independently: a connection that goes quiet — or trickles bytes
     slower than a whole section per window — raises
-    ``HttpError(408)``.  ``None`` (or ``0``) disables the bound.
+    ``HttpError(408)``.  ``None`` reads without a bound.
     """
     try:
-        head = await _read_bounded(
-            reader.readuntil(b"\r\n\r\n"), timeout, "request head"
+        head = await _bounded(
+            reader.readuntil(b"\r\n\r\n"), deadline, "request head"
         )
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
@@ -154,8 +232,8 @@ async def read_request(
             raise HttpError(413, f"body of {length} bytes exceeds the cap")
         if length:
             try:
-                body = await _read_bounded(
-                    reader.readexactly(length), timeout, "request body"
+                body = await _bounded(
+                    reader.readexactly(length), deadline, "request body"
                 )
             except asyncio.IncompleteReadError as exc:
                 raise HttpError(400, "truncated request body") from exc

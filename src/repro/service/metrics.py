@@ -47,6 +47,10 @@ QUEUE_WAIT_BUCKETS = (
 )
 
 
+#: Label-key memo entries per metric before it is cleared and refilled.
+_KEY_MEMO_CAP = 1024
+
+
 def _format_value(value: float | int) -> str:
     if isinstance(value, bool):  # pragma: no cover - defensive
         return "1" if value else "0"
@@ -83,6 +87,33 @@ class _Metric:
     def __init__(self, name: str, help_text: str) -> None:
         self.name = name
         self.help_text = help_text
+        #: ``tuple(labels.items())`` -> series key, for all-string
+        #: label values (the daemon's hot updates pass the same few).
+        self._keys: dict[tuple, tuple[tuple[str, str], ...]] = {}
+
+    def _series_key(self, labels: dict) -> tuple[tuple[str, str], ...]:
+        """``labels`` as a sorted ``(name, str(value))`` series key.
+
+        Memoized on the call's label items, so a repeat update sorts
+        nothing; ``inc(a=..., b=...)`` and ``inc(b=..., a=...)`` are
+        two memo entries for one series.  Only all-string values are
+        memoized: ``1``, ``1.0`` and ``True`` compare equal but render
+        differently.
+        """
+        if not labels:
+            return ()
+        items = tuple(labels.items())
+        try:
+            key = self._keys.get(items)
+        except TypeError:  # an unhashable label value
+            key = None
+        if key is None:
+            key = tuple(sorted((k, str(v)) for k, v in items))
+            if all(type(v) is str for _, v in items):
+                if len(self._keys) >= _KEY_MEMO_CAP:
+                    self._keys.clear()
+                self._keys[items] = key
+        return key
 
     def header(self) -> list[str]:
         return [
@@ -107,11 +138,11 @@ class Counter(_Metric):
         self._values: dict[tuple[tuple[str, str], ...], float] = {}
 
     def inc(self, amount: float = 1, **labels: str) -> None:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        key = self._series_key(labels)
         self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: str) -> float:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        key = self._series_key(labels)
         return self._values.get(key, 0)
 
     def total(self) -> float:
@@ -137,7 +168,7 @@ class Gauge(_Metric):
 
     def set(self, value, **labels: str) -> None:
         """Set a number, or a zero-argument callable read at render."""
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        key = self._series_key(labels)
         self._values[key] = value
 
     def sample_lines(self) -> list[str]:
@@ -171,7 +202,7 @@ class Histogram(_Metric):
         ] = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        key = self._series_key(labels)
         counts, acc = self._series.setdefault(
             key, ([0] * (len(self.buckets) + 1), [0.0, 0.0])
         )
@@ -180,13 +211,13 @@ class Histogram(_Metric):
         acc[1] += 1
 
     def count(self, **labels: str) -> int:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        key = self._series_key(labels)
         entry = self._series.get(key)
         return int(entry[1][1]) if entry else 0
 
     def quantile(self, q: float, **labels: str) -> float:
         """Bucket-upper-bound estimate of the ``q`` quantile."""
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+        key = self._series_key(labels)
         entry = self._series.get(key)
         if entry is None or entry[1][1] == 0:
             return 0.0

@@ -54,7 +54,9 @@ from .gate import AdmissionGate
 from .httpio import (
     HttpError,
     HttpRequest,
+    ReadDeadline,
     SlowClientError,
+    read_deadline,
     read_request,
     write_response,
 )
@@ -322,10 +324,12 @@ class SolveService:
         #: bytes decode identically, so hot traffic skips the JSON
         #: parse + request canonicalization on repeat sightings.
         self._parse_memo: dict[bytes, tuple[SolveRequest, float | None]] = {}
-        # Canonical key -> serialized result JSON.  Solves are pure, so
-        # a request's encoded result fragment never changes; hot repeat
-        # requests splice it into the envelope instead of re-encoding.
-        self._result_memo: dict[str, bytes] = {}
+        #: Canonical key -> (result, its serialized JSON).  A reply
+        #: splices the fragment only when it serves that very result
+        #: object: a hot repeat gets the engine's one served copy back
+        #: and re-encodes nothing, while another class order (same key)
+        #: or a fresh solve is encoded for itself.
+        self._result_memo: dict[str, tuple[SolveResult, bytes]] = {}
         # Both memos hold at most _MEMO_CAP entries: a full memo is
         # cleared before its next insert, so a shifting working set
         # keeps getting memoized.
@@ -475,12 +479,15 @@ class SolveService:
         ``keepalive=False`` ends it after the current reply.
         """
         self._conn_busy[writer] = False
+        deadline = read_deadline(self.config.read_timeout)
         try:
             while True:
-                keep = await self._serve_one(reader, writer)
+                keep = await self._serve_one(reader, writer, deadline)
                 if not keep:
                     break
         finally:
+            if deadline is not None:
+                deadline.close()
             self._conn_busy.pop(writer, None)
             writer.close()
             try:
@@ -489,7 +496,10 @@ class SolveService:
                 pass
 
     async def _serve_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        deadline: ReadDeadline | None,
     ) -> bool:
         """Read, route and answer one request; True to keep the
         connection for another exchange."""
@@ -500,9 +510,7 @@ class SolveService:
         request_id = new_request_id()
         try:
             try:
-                http = await read_request(
-                    reader, timeout=self.config.read_timeout
-                )
+                http = await read_request(reader, deadline=deadline)
             except HttpError as exc:
                 status = exc.status
                 if exc.status == 408:
@@ -794,12 +802,14 @@ class SolveService:
         # Hot path: splice the memoized result fragment into the
         # envelope instead of re-encoding the result dict per request
         # (same bytes json.dumps would emit, without walking the tree).
-        fragment = self._result_memo.get(request.cache_key)
-        if fragment is None:
+        memo = self._result_memo.get(request.cache_key)
+        if memo is not None and memo[0] is result:
+            fragment = memo[1]
+        else:
             fragment = json.dumps(encode_result(result)).encode("utf-8")
             if len(self._result_memo) >= _MEMO_CAP:
                 self._result_memo.clear()
-            self._result_memo[request.cache_key] = fragment
+            self._result_memo[request.cache_key] = (result, fragment)
         tail = (
             f', "coalesced": {"true" if coalesced else "false"}'
             f', "from_cache": {"true" if result.from_cache else "false"}'

@@ -223,6 +223,89 @@ class TestBatchSolverCaching:
         assert reverse.concurrency(0) == forward.concurrency(1)
 
 
+@pytest.fixture
+def count_copies(monkeypatch):
+    """Count ``dataclasses.replace`` calls made by the engine module."""
+    import repro.engine.batch as batch_module
+
+    calls: list[str] = []
+    real_replace = batch_module.replace
+
+    def counting_replace(obj, **changes):
+        calls.append(type(obj).__name__)
+        return real_replace(obj, **changes)
+
+    monkeypatch.setattr(batch_module, "replace", counting_replace)
+    return calls
+
+
+class TestServedCopies:
+    """A hit reuses one served copy per stored result; the store path
+    copies nothing."""
+
+    @pytest.mark.parametrize("memory_only", [True, False])
+    def test_repeat_hits_return_one_served_object(
+        self, classes, count_copies, memory_only
+    ):
+        engine = fresh_engine()
+        request = SolveRequest.square(6, classes)
+        engine.solve(request)
+        hits = [engine.cached_result(request, memory_only)
+                for _ in range(5)]
+        assert all(hit is hits[0] for hit in hits)
+        assert hits[0].from_cache and hits[0].elapsed == 0.0
+        assert count_copies == ["SolveResult"]  # the first hit only
+        assert engine.solve(request) is hits[0]
+        assert count_copies == ["SolveResult"]
+
+    def test_fresh_result_is_not_mutated_by_hits(self, classes):
+        engine = fresh_engine()
+        request = SolveRequest.square(6, classes)
+        (fresh,) = engine.evaluate_many([request])
+        elapsed = fresh.elapsed
+        assert not fresh.from_cache and elapsed > 0.0
+        hit = engine.cached_result(request, memory_only=True)
+        assert hit is not fresh and hit == fresh
+        assert hit.from_cache and hit.elapsed == 0.0
+        assert not fresh.from_cache and fresh.elapsed == elapsed
+
+    def test_sweep_store_path_makes_no_copy(self, classes, count_copies):
+        engine = fresh_engine()
+        results = engine.evaluate_many(
+            [SolveRequest.square(n, classes) for n in range(1, 33)]
+        )
+        assert engine.last_metrics.grid_points == 32
+        assert not any(r.from_cache for r in results)
+        assert count_copies == []
+
+    def test_disk_hit_stores_its_served_copy(
+        self, classes, tmp_path, count_copies
+    ):
+        request = SolveRequest.square(6, classes)
+        expected = fresh_engine(disk_cache=tmp_path).solve(request)
+        engine = fresh_engine(disk_cache=tmp_path)
+        first = engine.cached_result(request)
+        assert engine.stats.disk_hits == 1
+        assert first.from_cache and first == expected
+        assert engine.cached_result(request, memory_only=True) is first
+        assert engine.stats.disk_hits == 1
+        assert count_copies == ["SolveResult"]
+
+    def test_cross_order_hit_leaves_the_stored_copy_in_place(
+        self, classes
+    ):
+        engine = fresh_engine()
+        a, b = classes
+        forward = SolveRequest.square(8, (a, b))
+        reverse = SolveRequest.square(8, (b, a))
+        engine.solve(forward)
+        stored = engine.cached_result(forward)
+        flipped = engine.cached_result(reverse)
+        assert flipped.request == reverse and flipped.from_cache
+        assert flipped.blocking == tuple(reversed(stored.blocking))
+        assert engine.cached_result(forward) is stored
+
+
 class TestEvaluateMany:
     def test_grid_group_matches_point_solves(self, classes):
         engine = fresh_engine()

@@ -29,6 +29,7 @@ from repro.exceptions import ConfigurationError
 from repro.methods import SolveMethod
 from repro.service import (
     BatcherClosedError,
+    BrownoutConfig,
     MicroBatcher,
     ServiceClient,
     ServiceConfig,
@@ -204,6 +205,147 @@ def test_full_memos_are_refilled_not_frozen(monkeypatch):
         assert decoded == [1]  # the second sighting hit the parse memo
         assert len(service._parse_memo) == 1
         assert list(service._result_memo) == [request.cache_key]
+
+
+def data_video_mix(reverse: bool = False) -> SolveRequest:
+    classes = [
+        TrafficClass.poisson(0.01, name="data"),
+        TrafficClass(alpha=0.004, beta=0.2, mu=1.0, a=2, name="video"),
+    ]
+    return SolveRequest.square(8, classes[::-1] if reverse else classes)
+
+
+def post_in_turn(port: int, requests: list[SolveRequest]) -> list[dict]:
+    async def in_turn() -> list[dict]:
+        replies = []
+        for request in requests:
+            status, reply = await post_raw(
+                port, "/solve", {"request": request.to_dict()}
+            )
+            assert status == 200, reply
+            replies.append(reply)
+        return replies
+
+    return asyncio.run(in_turn())
+
+
+def test_reversed_class_order_is_spliced_its_own_result():
+    """The fragment memo is keyed by the order-insensitive cache key:
+    a reversed mix must still get the bytes of the result served to it,
+    not the stored order's."""
+    forward, reverse = data_video_mix(), data_video_mix(reverse=True)
+    with start_in_thread(
+        ServiceConfig(port=0), engine=BatchSolver(EngineConfig())
+    ) as handle:
+        _, flipped = post_in_turn(handle.port, [forward, reverse])
+    # The daemon solved the forward order and re-addressed the stored
+    # result; a local engine with the same history serves these bytes.
+    local = BatchSolver(EngineConfig())
+    local.solve(forward)
+    served = local.cached_result(reverse)
+    assert json.dumps(flipped["result"]) == json.dumps(encode_result(served))
+    names = [c["name"] for c in flipped["result"]["request"]["classes"]]
+    assert names == ["video", "data"]
+    direct = solve(reverse, engine=BatchSolver(EngineConfig()))
+    assert flipped["result"]["blocking"] == pytest.approx(
+        list(direct.blocking), rel=1e-12
+    )
+    assert flipped["result"]["blocking"][0] > flipped["result"]["blocking"][1]
+
+
+def test_repeat_request_reports_from_cache_inside_and_out():
+    request = data_video_mix()
+    engine = BatchSolver(EngineConfig())
+    with start_in_thread(ServiceConfig(port=0), engine=engine) as handle:
+        first, second, third = post_in_turn(handle.port, [request] * 3)
+        served = engine.cached_result(request, memory_only=True)
+    assert (first["from_cache"], first["result"]["from_cache"]) == (
+        False, False
+    )
+    for reply in (second, third):
+        assert reply["from_cache"] is True
+        assert reply["result"]["from_cache"] is True
+        assert json.dumps(reply["result"]) == json.dumps(
+            encode_result(served)
+        )
+
+
+def test_keepalive_hot_requests_arm_one_read_timer_and_no_task():
+    """100 cache hits on one keep-alive connection share the
+    connection's single read timer, and closing the connection
+    disarms it."""
+    request = mixed_request(5)
+    body = json.dumps({"request": request.to_dict()}).encode()
+    wire = (
+        f"POST /solve HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+    )
+
+    async def exchange(reader, writer) -> int:
+        writer.write(wire)
+        head = await reader.readuntil(b"\r\n\r\n")
+        length = next(
+            int(line.split(b":", 1)[1])
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        )
+        await reader.readexactly(length)
+        return int(head.split()[1])
+
+    async def scenario() -> tuple[list, int, list[int]]:
+        loop = asyncio.get_running_loop()
+        handles: list[asyncio.TimerHandle] = []
+        tasks = 0
+        real_call_at = loop.call_at
+
+        def counting_call_at(*args, **kwargs):
+            handle = real_call_at(*args, **kwargs)
+            handles.append(handle)
+            return handle
+
+        def counting_factory(loop, coro, **kwargs):
+            nonlocal tasks
+            tasks += 1
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        service = SolveService(
+            ServiceConfig(port=0, read_timeout=30.0,
+                          brownout=BrownoutConfig(enabled=False)),
+            engine=BatchSolver(EngineConfig()),
+        )
+        await service.start()
+        try:
+            # Warm the cache on another connection: the miss path's own
+            # timers are not the read path's.
+            await post_raw(service.port, "/solve",
+                           {"request": request.to_dict()})
+            loop.call_at = counting_call_at
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            statuses = [await exchange(reader, writer)]
+            loop.set_task_factory(counting_factory)
+            try:
+                for _ in range(100):
+                    statuses.append(await exchange(reader, writer))
+            finally:
+                loop.set_task_factory(None)
+                del loop.call_at
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(200):
+                if not service._conn_busy:
+                    break
+                await asyncio.sleep(0.01)
+            return handles, tasks, statuses
+        finally:
+            await service.stop()
+
+    handles, tasks, statuses = asyncio.run(scenario())
+    assert statuses == [200] * 101
+    assert tasks == 0
+    assert len(handles) == 1  # armed by the first read, never again
+    assert handles[0].cancelled()  # closing the connection disarmed it
 
 
 def test_batch_byte_identical_to_independent_point_solves(client):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
@@ -36,6 +37,7 @@ from repro.service import (
     ServiceConfig,
     start_cluster_in_thread,
 )
+from repro.service.protocol import encode_result
 from repro.service.sharding import HashRing
 
 REQUESTS = [
@@ -267,3 +269,39 @@ def test_respawned_worker_inherits_its_shard(tmp_path):
         status, shard, envelope = wire_solve(*handle.address, request)
         assert (status, shard) == (200, owner)
         assert solution_bytes(envelope["result"]) == expected
+
+
+def test_router_cuts_off_a_slow_loris_within_the_read_bound():
+    """The router's inbound reads carry the same per-connection read
+    deadline as a worker's: a stalled head or body gets a 408 within
+    the bound, and the fleet keeps serving."""
+    config = ServiceConfig(
+        port=0, read_timeout=0.2, cluster=ClusterConfig(workers=1)
+    )
+    stalls = {
+        "head": b"POST /solve HTTP/1.1\r\n",
+        "body": (b"POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                 + b"{" * 10),
+    }
+    with start_cluster_in_thread(config) as handle:
+        for what, partial in stalls.items():
+            began = time.monotonic()
+            with socket.create_connection(handle.address, timeout=5.0) \
+                    as sock:
+                sock.sendall(partial)
+                raw = b""
+                while b"\r\n\r\n" not in raw:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    raw += chunk
+            elapsed = time.monotonic() - began
+            assert b" 408 " in raw.split(b"\r\n", 1)[0], (what, raw)
+            # The router answered (a worker's reply carries X-Shard).
+            assert b"X-Shard" not in raw
+            assert 0.15 <= elapsed < 3.0, (what, elapsed)
+        status, _, envelope = wire_solve(*handle.address, REQUESTS[0])
+        assert status == 200
+        assert solution_bytes(envelope["result"]) == solution_bytes(
+            encode_result(solve(REQUESTS[0]))
+        )

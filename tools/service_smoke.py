@@ -9,6 +9,10 @@ second small-gate daemon), and asserts:
 * **Determinism** — every response for a given request is byte-equal
   (``float.hex``) to the local ``repro.api.solve`` answer: zero
   non-deterministic results across all concurrency.
+* **Class order is the request's** — a hot key asked again with its
+  class order reversed gets its own result bytes (classes and measures
+  in the reversed order), equal to a local engine that re-addresses
+  the same stored result, not the stored order's memoized fragment.
 * **Sweeps match point solves** — every member of a few 32-point
   ``/batch`` capacity sweeps (one fresh Poisson + Pascal mix each, one
   shared Q-grid on the server) is byte-equal on the wire to an
@@ -70,6 +74,23 @@ def sweep_requests(index: int) -> list[SolveRequest]:
                      name="video"),
     ]
     return [SolveRequest.square(n, classes) for n in SWEEP_SIZES]
+
+
+def reordered_mismatches(client: ServiceClient) -> list[str]:
+    """Hot keys asked with their class order reversed, compared on the
+    wire with the local default engine, which (like the daemon) holds
+    the forward order and re-addresses it."""
+    bad = []
+    for n in POINT_SIZES:
+        forward = point_request(n)
+        reverse = SolveRequest.square(n, forward.classes[::-1])
+        status, payload = client._roundtrip(
+            "POST", "/solve", {"request": reverse.to_dict()}
+        )
+        want = json.dumps(encode_result(solve(reverse)))
+        if status != 200 or json.dumps(payload["result"]) != want:
+            bad.append(f"reversed n={n}")
+    return bad
 
 
 def sweep_mismatches(client: ServiceClient, index: int) -> list[str]:
@@ -143,6 +164,10 @@ def main() -> int:
     check(not mismatches,
           f"zero non-deterministic results ({len(mismatches)} mismatches)",
           failures)
+    reversed_bad = reordered_mismatches(client)
+    check(not reversed_bad,
+          f"reversed class order served its own bytes "
+          f"({len(reversed_bad)} mismatches)", failures)
     with ThreadPoolExecutor(max_workers=SWEEP_MIXES) as pool:
         sweep_bad = [
             label for labels in pool.map(
