@@ -448,7 +448,7 @@ def bench_cluster_failover(quick: bool) -> dict:
 
     **Degraded-blocking leg** — the acceptance check: a 4-worker loss
     fleet (2 tokens, 50 ms hold per shard, brownout off for clean
-    math) with one worker held dead (``respawn=False``) is offered
+    math) with one worker held dead (``max_respawns=0``) is offered
     open-loop Poisson traffic through the router.  Failover
     concentrates the stream on the 3 survivors, so measured blocking
     must land within 0.1 of ``B(2, (rate/3) * H)`` — the
@@ -555,7 +555,7 @@ def bench_cluster_failover(quick: bool) -> dict:
         min_hold=hold, batch_window=0.001,
         brownout=BrownoutConfig(enabled=False),
         cluster=ClusterConfig(
-            workers=workers, health_interval=0.05, respawn=False,
+            workers=workers, health_interval=0.05, max_respawns=0,
         ),
     )
     spec = LoadSpec(

@@ -322,30 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
              "supervisor (default 1)",
     )
     p.add_argument(
-        "--shard-strategy", default=None, metavar="MODE",
-        choices=("hash", "reuseport"),
-        help="cluster routing: 'hash' (consistent-hash router over "
-             "canonical keys, the default) or 'reuseport' (kernel "
-             "SO_REUSEPORT spraying; needs a fixed --port)",
-    )
-    p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="shared disk-cache directory handed to every worker",
-    )
-    p.add_argument(
-        "--start-method", default=None, metavar="METHOD",
-        choices=("fork", "spawn", "forkserver"),
-        help="multiprocessing start method for workers (default: auto)",
     )
     p.add_argument(
         "--no-brownout", action="store_true",
         help="disable the brownout ladder (serve at full fidelity until "
              "the gate alone sheds load)",
-    )
-    p.add_argument(
-        "--no-keepalive", action="store_true",
-        help="close every connection after one response (pre-1.2 wire "
-             "behavior)",
     )
     p.add_argument(
         "--verbose", action="store_true",
@@ -878,8 +861,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if workers > 1:
         print(
             f"serving cluster on http://{config.host}:{config.port} "
-            f"({workers} workers, {config.cluster.shard_strategy} "
-            f"sharding, gate {config.gate_capacity} tokens/worker; "
+            f"({workers} workers, hash sharding, "
+            f"gate {config.gate_capacity} tokens/worker; "
             f"Ctrl-C to stop)"
         )
     else:

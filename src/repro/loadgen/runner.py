@@ -249,9 +249,9 @@ async def _route_table(
 
     The second map attributes *transport* failures — which never carry
     an ``X-Shard`` reply header — to the shard whose port refused or
-    reset.  None when the target is not a hash-sharded cluster (single
-    daemon, reuseport fleet, or ``shard_direct`` disabled) — then
-    everything goes to the given address.
+    reset.  None when the target is not a hash-sharded cluster (a
+    single daemon, or ``shard_direct`` disabled) — then everything goes
+    to the given address.
     """
     if not spec.shard_direct:
         return None

@@ -17,8 +17,9 @@ multiplies throughput — parallel independent fabric paths:
 * lifecycle — ready handshake over a multiprocessing queue, periodic
   liveness sweeps, respawn-on-crash into the same shard slot (the ring
   keys off shard indices, so routing is stable across respawns), and a
-  fleet-wide SIGTERM drain that lets every worker finish admitted work
-  (PR 6 semantics) before exit;
+  fleet-wide SIGTERM drain: the router stops accepting and answers
+  every request it already proxied, then each worker is signalled once
+  and finishes what it admitted before exit;
 * self-healing — while a shard's worker is down its keys **fail over**
   to the next live shard on the ring (replies carry
   ``X-Shard-Failover`` so the cache-locality cost is observable, and
@@ -38,14 +39,10 @@ multiplies throughput — parallel independent fabric paths:
   /cluster`` publishes the shard map so smart clients can route
   themselves.
 
-With ``shard_strategy="reuseport"`` there is no router: every worker
-binds the public port with ``SO_REUSEPORT`` and the kernel spreads
-connections (no key affinity, no federation endpoint — cheapest wire
-path, weakest contracts).
-
 Entry points: :func:`serve_cluster` (CLI), and
 :func:`start_cluster_in_thread` -> :class:`ClusterHandle` for tests
-and benchmarks.
+and benchmarks.  Both host the supervisor through the daemon's own
+lifecycle (:mod:`repro.service.server`).
 """
 
 from __future__ import annotations
@@ -73,12 +70,18 @@ from .httpio import (
     HttpError,
     HttpRequest,
     ReadDeadline,
-    read_deadline,
     read_request,
     write_response,
 )
 from .protocol import decode_request, decode_request_list, new_request_id
-from .server import serve
+from .server import (
+    _MEMO_CAP,
+    ServiceHandle,
+    _Connections,
+    _serve_async,
+    _start_hosted,
+    serve,
+)
 from .sharding import HashRing, ring_point
 
 __all__ = [
@@ -89,9 +92,6 @@ __all__ = [
 ]
 
 logger = get_logger("service.cluster")
-
-#: Cap of the router's body-bytes -> shard memo (hot keys repeat).
-_ROUTE_CACHE_MAX = 4096
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +108,8 @@ def _worker_main(
     """One worker: the classic daemon plus a ready handshake.
 
     ``config`` is already the per-shard view (``ServiceConfig.for_shard``):
-    single-process, shard index stamped, ephemeral port in hash mode or
-    the shared ``SO_REUSEPORT`` port in reuseport mode.
+    single-process, shard index stamped, an ephemeral port on the
+    worker interface.
     """
     if cache_dir:
         # Both spellings so the engine's own from_env picks it up and
@@ -142,7 +142,7 @@ class _Worker:
     port: int | None = None
     pid: int | None = None
     respawns: int = 0
-    #: Terminal: respawn disabled or ``max_respawns`` exhausted.
+    #: Terminal: ``max_respawns`` exhausted.
     dead: bool = False
     #: ``time.monotonic()`` of the ready handshake (flap detection).
     ready_at: float | None = None
@@ -154,6 +154,8 @@ class _Worker:
     hold_until: float = 0.0
     #: The slot survived ``flap_window`` after ready (breaker credited).
     settled: bool = False
+    #: A drain sent this process its one SIGTERM.
+    signalled: bool = False
 
     @property
     def alive(self) -> bool:
@@ -231,6 +233,10 @@ async def _read_reply(
     return status, headers, body
 
 
+def _json(payload: dict) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
 def _label_shard(text: str, shard: int, keep_comments: bool) -> str:
     """Inject ``shard="i"`` into every Prometheus sample line."""
     label = f'shard="{shard}"'
@@ -255,7 +261,7 @@ def _label_shard(text: str, shard: int, keep_comments: bool) -> str:
 
 
 class ClusterSupervisor:
-    """Owns the worker fleet and (in hash mode) the routing front door."""
+    """Owns the worker fleet and the routing front door."""
 
     def __init__(self, config: ServiceConfig) -> None:
         if config.cluster.workers < 1:
@@ -272,6 +278,7 @@ class ClusterSupervisor:
         self._router: asyncio.base_events.Server | None = None
         self._health_task: asyncio.Task | None = None
         self._draining = False
+        self._conn_busy = _Connections()
         self._started_at = time.monotonic()
         self._route_cache: dict[bytes, tuple[int, ...]] = {}
         #: requests proxied per shard (balance checks in smoke tests).
@@ -294,9 +301,8 @@ class ClusterSupervisor:
             for shard in range(self.cluster.workers)
         }
 
-    def _pick_start_method(self) -> str:
-        if self.cluster.start_method is not None:
-            return self.cluster.start_method
+    @staticmethod
+    def _pick_start_method() -> str:
         # fork is cheap and inherits the warmed interpreter, but is
         # only safe while this process is single-threaded (the test
         # harness runs the supervisor on a thread -> spawn).
@@ -314,17 +320,15 @@ class ClusterSupervisor:
         for shard in range(self.cluster.workers):
             self._spawn(shard)
         await self._collect_ready(set(range(self.cluster.workers)))
-        if self.cluster.shard_strategy == "hash":
-            self._router = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
-            )
+        self._router = await asyncio.start_server(
+            self._handle_connection, self.config.host, self.config.port
+        )
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop(), name="repro-cluster-health"
         )
         logger.info(
             "cluster up %s",
             kv(workers=self.cluster.workers,
-               strategy=self.cluster.shard_strategy,
                host=self.host, port=self.port,
                cache_dir=self.cluster.cache_dir),
         )
@@ -373,12 +377,7 @@ class ClusterSupervisor:
         old_pool = self._pools.get(shard)
         if old_pool is not None:
             old_pool.close()
-        self._pools[shard] = _WorkerPool(
-            self.config.host
-            if self.cluster.shard_strategy == "reuseport"
-            else self.cluster.worker_host,
-            port,
-        )
+        self._pools[shard] = _WorkerPool(self.cluster.worker_host, port)
         logger.info(
             "worker ready %s", kv(shard=shard, port=port, pid=pid)
         )
@@ -415,10 +414,7 @@ class ClusterSupervisor:
                 if worker.died_at is None:
                     self._note_death(shard, worker, now)
                     continue
-                if (
-                    not self.cluster.respawn
-                    or worker.respawns >= self.cluster.max_respawns
-                ):
+                if worker.respawns >= self.cluster.max_respawns:
                     self._declare_dead(shard, worker)
                     continue
                 if now < max(worker.next_spawn_at, worker.hold_until):
@@ -482,8 +478,7 @@ class ClusterSupervisor:
         logger.error(
             "shard dead (respawns exhausted) %s",
             kv(shard=shard, respawns=worker.respawns,
-               max_respawns=self.cluster.max_respawns,
-               failover=self.cluster.failover),
+               max_respawns=self.cluster.max_respawns),
         )
 
     @property
@@ -506,21 +501,30 @@ class ClusterSupervisor:
         return min(1.0, dead / live)
 
     async def drain(self, timeout: float | None = None) -> bool:
-        """Fleet-wide graceful shutdown: every worker drains (PR 6
-        semantics — admitted work finishes), then exits."""
+        """Fleet-wide graceful shutdown, within one budget (default
+        ``config.drain_timeout``): the router stops accepting and
+        answers every request it already took, then each worker gets
+        one SIGTERM, finishes what it admitted, and exits."""
         self._draining = True
         if self._router is not None:
             self._router.close()
-            await self._router.wait_closed()
             self._router = None
-        for worker in self.workers.values():
-            if worker.alive:
-                worker.process.terminate()  # SIGTERM -> worker drain
         budget = (
             self.config.drain_timeout if timeout is None else timeout
         )
         deadline = time.monotonic() + budget
         clean = True
+        self._conn_busy.close_idle()
+        while self._conn_busy.busy:
+            if time.monotonic() >= deadline:
+                clean = False
+                break
+            self._conn_busy.close_idle()
+            await asyncio.sleep(0.005)
+        for worker in self.workers.values():
+            if worker.alive:
+                worker.process.terminate()  # SIGTERM -> worker drain
+                worker.signalled = True
         for worker in self.workers.values():
             remaining = max(0.0, deadline - time.monotonic())
             await asyncio.get_running_loop().run_in_executor(
@@ -529,12 +533,17 @@ class ClusterSupervisor:
             if worker.alive:
                 clean = False
         if not clean:
-            logger.warning("fleet drain timed out %s", kv(budget=budget))
+            logger.warning(
+                "fleet drain timed out %s",
+                kv(budget=budget, connections=self._conn_busy.busy),
+            )
         else:
             logger.info("fleet drained %s", kv(budget=budget))
         return clean
 
     async def stop(self) -> None:
+        """Tear the fleet down: a worker no drain signalled gets its
+        SIGTERM now, and any worker outliving the join is killed."""
         self._draining = True
         if self._health_task is not None:
             self._health_task.cancel()
@@ -545,13 +554,14 @@ class ClusterSupervisor:
             self._health_task = None
         if self._router is not None:
             self._router.close()
-            await self._router.wait_closed()
             self._router = None
+        for writer in list(self._conn_busy):
+            writer.close()
         for pool in self._pools.values():
             pool.close()
         self._pools.clear()
         for worker in self.workers.values():
-            if worker.alive:
+            if worker.alive and not worker.signalled:
                 worker.process.terminate()
         for worker in self.workers.values():
             worker.process.join(5.0)
@@ -564,10 +574,7 @@ class ClusterSupervisor:
         )))
 
     async def serve_forever(self) -> None:
-        if self._router is not None:
-            await self._router.serve_forever()
-        else:  # reuseport mode: nothing to accept here, just park
-            await asyncio.Event().wait()
+        await self._router.serve_forever()
 
     # -- addressing -----------------------------------------------------
 
@@ -593,20 +600,16 @@ class ClusterSupervisor:
 
     def shard_map(self) -> dict:
         return {
-            "strategy": self.cluster.shard_strategy,
+            "strategy": "hash",
             "workers": self.cluster.workers,
             "hash_replicas": self.cluster.hash_replicas,
             "draining": self._draining,
-            "failover": self.cluster.failover,
+            "failover": True,
             "dead_shards": self.dead_shards,
             "shards": [
                 {
                     "shard": worker.shard,
-                    "host": (
-                        self.config.host
-                        if self.cluster.shard_strategy == "reuseport"
-                        else self.cluster.worker_host
-                    ),
+                    "host": self.cluster.worker_host,
                     "port": worker.port,
                     "pid": worker.pid,
                     "alive": worker.alive,
@@ -648,28 +651,17 @@ class ClusterSupervisor:
             preference = self.ring.preference(key)
         except Exception:  # noqa: BLE001 - worker owns error reporting
             preference = tuple(range(self.cluster.workers))
-        if len(self._route_cache) < _ROUTE_CACHE_MAX:
-            self._route_cache[body] = preference
+        if len(self._route_cache) >= _MEMO_CAP:
+            self._route_cache.clear()
+        self._route_cache[body] = preference
         return preference
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        deadline = read_deadline(self.config.read_timeout)
-        try:
-            while True:
-                if not await self._serve_one(reader, writer, deadline):
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            if deadline is not None:
-                deadline.close()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await self._conn_busy.serve(
+            reader, writer, self._serve_one, self.config.read_timeout
+        )
 
     async def _serve_one(
         self,
@@ -681,52 +673,58 @@ class ClusterSupervisor:
         try:
             http = await read_request(reader, deadline=deadline)
         except HttpError as exc:
-            await self._write_json(
+            await write_response(
                 writer, exc.status,
-                {"id": request_id,
-                 "error": {"kind": "bad_request", "message": str(exc)}},
-                close=True,
+                _json({"id": request_id,
+                       "error": {"kind": "bad_request",
+                                 "message": str(exc)}}),
+                timeout=self.config.write_timeout,
             )
             return False
         if http is None:
             return False
-        keep = (
-            self.config.keepalive
-            and not self._draining
-            and http.headers.get("connection", "").lower() != "close"
-        )
-        if http.path in ("/solve", "/batch"):
-            keep = await self._proxy(http, writer, keep, request_id)
-        elif http.path == "/cluster":
-            await self._write_json(
-                writer, 200,
-                {"id": request_id, **self.shard_map()}, close=not keep,
+        # Busy from head-read to reply-flushed, so drain() waits for the
+        # reply to every request the router already took.
+        self._conn_busy[writer] = True
+        try:
+            status, body, headers = await self._route(http, request_id)
+            keep = (
+                not self._draining
+                and http.headers.get("connection", "").lower() != "close"
             )
-        elif http.path == "/healthz":
-            payload = await self._aggregate_health(request_id)
-            await self._write_json(
-                writer,
-                503 if payload.get("dead_shards") else 200,
-                payload,
-                close=not keep,
-            )
-        elif http.path == "/metrics":
-            body = (await self._federate_metrics()).encode("utf-8")
             await write_response(
-                writer, 200, body,
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-                extra_headers={"X-Request-Id": request_id},
+                writer, status, body,
+                content_type=headers.pop("Content-Type", "application/json"),
+                extra_headers=headers,
                 timeout=self.config.write_timeout, close=not keep,
             )
-        else:
-            await self._write_json(
-                writer, 404,
-                {"id": request_id,
-                 "error": {"kind": "not_found",
-                           "message": f"no route for {http.path}"}},
-                close=not keep,
-            )
-        return keep
+            return keep
+        finally:
+            self._conn_busy[writer] = False
+
+    async def _route(
+        self, http: HttpRequest, request_id: str
+    ) -> tuple[int, bytes, dict[str, str]]:
+        """Status, body and headers of the reply to one request."""
+        if http.path in ("/solve", "/batch"):
+            return await self._proxy(http, request_id)
+        if http.path == "/cluster":
+            return 200, _json({"id": request_id, **self.shard_map()}), {}
+        if http.path == "/healthz":
+            payload = await self._aggregate_health(request_id)
+            status = 503 if payload.get("dead_shards") else 200
+            return status, _json(payload), {}
+        if http.path == "/metrics":
+            body = (await self._federate_metrics()).encode("utf-8")
+            return 200, body, {
+                "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
+                "X-Request-Id": request_id,
+            }
+        return 404, _json({
+            "id": request_id,
+            "error": {"kind": "not_found",
+                      "message": f"no route for {http.path}"},
+        }), {}
 
     def _routable(self, shard: int) -> bool:
         """A shard the router can usefully dial right now."""
@@ -740,70 +738,51 @@ class ClusterSupervisor:
         )
 
     async def _proxy(
-        self,
-        http: HttpRequest,
-        writer: asyncio.StreamWriter,
-        keep: bool,
-        request_id: str,
-    ) -> bool:
+        self, http: HttpRequest, request_id: str
+    ) -> tuple[int, bytes, dict[str, str]]:
         preference = self._shard_for_body(http.path, http.body)
         owner = preference[0]
-        if self.cluster.failover:
-            # The ring with down shards skipped: the owner's keyspace
-            # drains onto its clockwise successors and snaps back the
-            # moment the owner is live again.
-            order = [s for s in preference if self._routable(s)] or [owner]
-        else:
-            order = [owner]
-        shard = owner
-        answered = False
+        # The ring with down shards skipped: the owner's keyspace drains
+        # onto its clockwise successors and snaps back the moment the
+        # owner is live again.
+        order = [s for s in preference if self._routable(s)] or [owner]
         for shard in order:
             try:
                 status, headers, body = await self._roundtrip(shard, http)
-                answered = True
                 break
             except (ConnectionError, OSError, asyncio.IncompleteReadError,
                     ConfigurationError):
                 continue
-        if not answered:
-            await self._write_json(
-                writer, 503,
-                {"id": request_id,
-                 "error": {
-                     "kind": "shard_unavailable",
-                     "message": (
-                         f"worker for shard {owner} is unavailable "
-                         "(crashed or respawning) and no live peer "
-                         "could take the key; retry"
-                     ),
-                     "shard": owner,
-                     "retry_after": self.cluster.health_interval * 2,
-                 }},
-                close=not keep,
-                extra={"Retry-After": "1"},
-            )
-            return keep
+        else:
+            return 503, _json({
+                "id": request_id,
+                "error": {
+                    "kind": "shard_unavailable",
+                    "message": (
+                        f"worker for shard {owner} is unavailable "
+                        "(crashed or respawning) and no live peer "
+                        "could take the key; retry"
+                    ),
+                    "shard": owner,
+                    "retry_after": self.cluster.health_interval * 2,
+                },
+            }), {"Retry-After": "1"}
         self.proxied[shard] = self.proxied.get(shard, 0) + 1
         passthrough = {
-            name: headers[key]
-            for key, name in (
-                ("x-request-id", "X-Request-Id"),
-                ("x-shard", "X-Shard"),
-                ("retry-after", "Retry-After"),
-                ("allow", "Allow"),
-            )
-            if (key in headers)
+            "Content-Type": headers.get("content-type", "application/json")
         }
+        for key, name in (
+            ("x-request-id", "X-Request-Id"),
+            ("x-shard", "X-Shard"),
+            ("retry-after", "Retry-After"),
+            ("allow", "Allow"),
+        ):
+            if key in headers:
+                passthrough[name] = headers[key]
         if shard != owner:
             self.failovers[owner] = self.failovers.get(owner, 0) + 1
             passthrough["X-Shard-Failover"] = str(owner)
-        await write_response(
-            writer, status, body,
-            content_type=headers.get("content-type", "application/json"),
-            extra_headers=passthrough,
-            timeout=self.config.write_timeout, close=not keep,
-        )
-        return keep
+        return status, body, passthrough
 
     async def _roundtrip(
         self, shard: int, http: HttpRequest
@@ -923,7 +902,7 @@ class ClusterSupervisor:
             ),
             "version": __version__,
             "uptime_s": time.monotonic() - self._started_at,
-            "strategy": self.cluster.shard_strategy,
+            "strategy": "hash",
             "dead_shards": self.dead_shards,
             "fleet_pressure": self._fleet_pressure(),
             "workers": shards,
@@ -968,76 +947,10 @@ class ClusterSupervisor:
         )
         return "\n".join(parts) + "\n"
 
-    async def _write_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        close: bool,
-        extra: dict[str, str] | None = None,
-    ) -> None:
-        await write_response(
-            writer, status, json.dumps(payload).encode("utf-8"),
-            extra_headers=extra,
-            timeout=self.config.write_timeout, close=close,
-        )
-
 
 # ----------------------------------------------------------------------
-# Hosting helpers
+# Hosting (the daemon's lifecycle, see repro.service.server)
 # ----------------------------------------------------------------------
-
-
-async def _serve_cluster_async(
-    config: ServiceConfig,
-    on_started: Any | None = None,
-) -> None:
-    supervisor = ClusterSupervisor(config)
-    await supervisor.start()
-    if on_started is not None:
-        on_started(supervisor)
-    loop = asyncio.get_running_loop()
-    stop_now = asyncio.Event()
-    signals_seen = 0
-
-    def _on_signal() -> None:
-        nonlocal signals_seen
-        signals_seen += 1
-        if signals_seen == 1:
-            logger.warning("shutdown signal received; draining fleet")
-
-            async def _drain_then_stop() -> None:
-                await supervisor.drain()
-                stop_now.set()
-
-            loop.create_task(_drain_then_stop())
-        else:
-            logger.warning("second shutdown signal; forcing exit")
-            stop_now.set()
-
-    installed: list[signal.Signals] = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, _on_signal)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-
-    forever = loop.create_task(supervisor.serve_forever())
-    stopper = loop.create_task(stop_now.wait())
-    try:
-        await asyncio.wait(
-            {forever, stopper}, return_when=asyncio.FIRST_COMPLETED
-        )
-    except asyncio.CancelledError:  # pragma: no cover - shutdown path
-        pass
-    finally:
-        for task in (forever, stopper):
-            task.cancel()
-        await asyncio.gather(forever, stopper, return_exceptions=True)
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-        await supervisor.stop()
 
 
 def serve_cluster(config: ServiceConfig) -> None:
@@ -1046,35 +959,16 @@ def serve_cluster(config: ServiceConfig) -> None:
     if config.cluster.workers <= 1:
         serve(config)
         return
-    asyncio.run(_serve_cluster_async(config))
+    asyncio.run(_serve_async(ClusterSupervisor(config)))
 
 
-class ClusterHandle:
-    """A cluster running on its own thread/loop (tests, benchmarks)."""
-
-    def __init__(
-        self,
-        supervisor: ClusterSupervisor,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
-        self.supervisor = supervisor
-        self.loop = loop
-        self.thread = thread
+class ClusterHandle(ServiceHandle):
+    """A fleet on its own thread/loop (tests, benchmarks): the daemon's
+    handle plus the chaos hooks ``ClusterFaultInjector`` drives."""
 
     @property
-    def host(self) -> str:
-        return self.supervisor.host
-
-    @property
-    def port(self) -> int:
-        return self.supervisor.port
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
-
-    # -- chaos hooks (ClusterFaultInjector drives these) ---------------
+    def supervisor(self) -> ClusterSupervisor:
+        return self.service
 
     @property
     def cache_dir(self) -> str | None:
@@ -1114,75 +1008,15 @@ class ClusterHandle:
         """Snapshot of the slot's crash-loop breaker."""
         return self.supervisor._flap_breakers[shard].snapshot()
 
-    def drain(self, timeout: float | None = None) -> bool:
-        if not self.thread.is_alive():
-            return True
-        future = asyncio.run_coroutine_threadsafe(
-            self.supervisor.drain(timeout), self.loop
-        )
-        budget = (
-            timeout if timeout is not None
-            else self.supervisor.config.drain_timeout
-        )
-        return future.result(budget + 10.0)
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self.thread.is_alive():
-            future = asyncio.run_coroutine_threadsafe(
-                self.supervisor.stop(), self.loop
-            )
-            try:
-                future.result(timeout)
-            finally:
-                self.loop.call_soon_threadsafe(self.loop.stop)
-                self.thread.join(timeout)
-        if self.thread.is_alive():  # pragma: no cover - hang guard
-            raise RuntimeError("cluster thread did not stop in time")
-
-    def __enter__(self) -> "ClusterHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
 
 def start_cluster_in_thread(config: ServiceConfig) -> ClusterHandle:
     """Start a cluster on a fresh thread; returns its handle.
 
-    The default hash strategy supports ``port=0`` (read the router's
-    bound port back from ``handle.port``).  The supervisor thread is
-    multi-threaded territory, so workers start via ``spawn`` unless
-    the config forces a method.
+    ``port=0`` binds an ephemeral router port (read it back from
+    ``handle.port``).  The supervisor thread is multi-threaded
+    territory, so its workers start via ``spawn``.
     """
-    started = threading.Event()
-    box: dict[str, Any] = {}
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        supervisor = ClusterSupervisor(config)
-        try:
-            loop.run_until_complete(supervisor.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            box["error"] = exc
-            started.set()
-            loop.close()
-            return
-        box["supervisor"], box["loop"] = supervisor, loop
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(supervisor.stop())
-            loop.close()
-
-    thread = threading.Thread(
-        target=runner, daemon=True, name="repro-cluster"
+    return _start_hosted(
+        lambda: ClusterSupervisor(config), "repro-cluster",
+        config.cluster.spawn_timeout + 15.0, ClusterHandle,
     )
-    thread.start()
-    budget = config.cluster.spawn_timeout + 15.0
-    if not started.wait(budget):  # pragma: no cover - startup hang guard
-        raise RuntimeError(f"cluster did not start within {budget:.0f}s")
-    if "error" in box:
-        raise box["error"]
-    return ClusterHandle(box["supervisor"], box["loop"], thread)

@@ -39,50 +39,35 @@ __all__ = ["ClusterConfig", "ServiceConfig", "ENV_PREFIX"]
 #: reads (e.g. ``REPRO_SERVICE_PORT``, ``REPRO_SERVICE_WORKERS``).
 ENV_PREFIX = "REPRO_SERVICE_"
 
-_SHARD_STRATEGIES = ("hash", "reuseport")
-_START_METHODS = ("fork", "spawn", "forkserver")
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """Topology of a multi-worker fleet (see :mod:`repro.service.cluster`).
 
     The default (``workers=1``) means "no cluster": ``serve`` runs the
     classic single-process daemon and none of the other fields matter.
+    Above one worker, a router on the public port proxies each request
+    to the worker owning its canonical cache key (consistent hashing),
+    so single-flight coalescing and cache locality keep their contracts
+    fleet-wide; a down shard's keys fail over to the next live shard.
     """
 
     #: Worker processes.  1 disables the cluster layer entirely.
     workers: int = 1
-    #: ``"hash"`` — a router on the public port proxies each request to
-    #: the worker owning its canonical cache key (consistent hashing),
-    #: so single-flight coalescing and cache locality keep their
-    #: contracts fleet-wide.  ``"reuseport"`` — every worker binds the
-    #: public port with ``SO_REUSEPORT`` and the kernel spreads
-    #: connections (no key affinity; coalescing is per-worker only).
-    shard_strategy: str = "hash"
     #: Shared on-disk cache tier for all workers (each worker guards it
     #: with its own circuit breaker); None leaves workers memory-only
     #: unless ``REPRO_ENGINE_CACHE_DIR`` says otherwise.
     cache_dir: str | None = None
-    #: Interface workers bind their per-shard ports on (hash mode).
+    #: Interface workers bind their per-shard ports on.
     worker_host: str = "127.0.0.1"
-    #: ``multiprocessing`` start method; None picks ``fork`` when the
-    #: spawning process is still single-threaded (cheap, CLI path) and
-    #: ``spawn`` otherwise (safe under test harness threads).
-    start_method: str | None = None
     #: Seconds between supervisor health sweeps (liveness + respawn).
     health_interval: float = 0.5
-    #: Respawn a crashed worker on the same shard slot.
-    respawn: bool = True
-    #: Give up respawning one shard after this many restarts.
+    #: Respawn a crashed worker on its shard slot at most this many
+    #: times; 0 declares the first death final (a dead shard).
     max_respawns: int = 5
     #: Virtual nodes per shard on the consistent-hash ring.
     hash_replicas: int = 64
     #: Seconds to wait for a spawned worker to report ready.
     spawn_timeout: float = 30.0
-    #: Re-route a down shard's keys to the next live shard on the ring
-    #: (stamped ``X-Shard-Failover``) instead of answering 503.
-    failover: bool = True
     #: First respawn delay (seconds); doubles per consecutive respawn.
     respawn_backoff_base: float = 0.25
     #: Ceiling of the exponential respawn backoff (before jitter).
@@ -102,17 +87,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError("cluster workers must be >= 1")
-        if self.shard_strategy not in _SHARD_STRATEGIES:
-            raise ConfigurationError(
-                f"shard_strategy must be one of {_SHARD_STRATEGIES}, "
-                f"got {self.shard_strategy!r}"
-            )
-        if self.start_method is not None \
-                and self.start_method not in _START_METHODS:
-            raise ConfigurationError(
-                f"start_method must be one of {_START_METHODS}, "
-                f"got {self.start_method!r}"
-            )
         if self.health_interval <= 0:
             raise ConfigurationError("health_interval must be > 0")
         if self.max_respawns < 0:
@@ -182,17 +156,6 @@ class ServiceConfig:
     #: Default budget of :meth:`SolveService.drain`: seconds to wait
     #: for in-flight work before giving up and stopping anyway.
     drain_timeout: float = 10.0
-    #: Serve several requests per TCP connection (HTTP/1.1 keep-alive).
-    #: Peers that close after one exchange are unaffected.
-    keepalive: bool = True
-    #: Serve cache-hot solves straight off the engine's in-memory
-    #: result cache on the event loop, skipping coalesce + micro-batch
-    #: (byte-identical by the cache contract; disable to force every
-    #: request through the full miss path).
-    hot_cache_fast_path: bool = True
-    #: Bind the listening socket with ``SO_REUSEPORT`` (the cluster's
-    #: ``reuseport`` shard strategy sets this on every worker).
-    reuse_port: bool = False
     #: Shard slot of this process inside a cluster (stamped on replies
     #: as ``X-Shard`` and inside 503 envelopes); None outside one.
     shard_index: int | None = None
@@ -217,15 +180,6 @@ class ServiceConfig:
         if not isinstance(self.cluster, ClusterConfig):
             raise ConfigurationError(
                 f"cluster must be a ClusterConfig, got {self.cluster!r}"
-            )
-        if (
-            self.cluster.workers > 1
-            and self.cluster.shard_strategy == "reuseport"
-            and self.port == 0
-        ):
-            raise ConfigurationError(
-                "the reuseport shard strategy needs a fixed port "
-                "(workers must agree on the address they share)"
             )
 
     # ------------------------------------------------------------------
@@ -301,12 +255,10 @@ class ServiceConfig:
     def for_shard(self, shard: int, port: int) -> "ServiceConfig":
         """The per-worker view of a cluster config: one shard, one port,
         bound on the worker interface, no nested cluster."""
-        reuseport = self.cluster.shard_strategy == "reuseport"
         return replace(
             self,
-            host=self.host if reuseport else self.cluster.worker_host,
-            port=self.port if reuseport else port,
-            reuse_port=reuseport,
+            host=self.cluster.worker_host,
+            port=port,
             shard_index=shard,
             cluster=ClusterConfig(),
         )
@@ -327,7 +279,7 @@ _SERVICE_SCALARS = tuple(
 _NONE_WHEN_NON_POSITIVE = ("read_timeout", "write_timeout",
                            "proxy_timeout")
 #: Fields where an empty string means None.
-_NONE_WHEN_EMPTY = ("cache_dir", "start_method")
+_NONE_WHEN_EMPTY = ("cache_dir",)
 
 
 def _normalize(section: str, name: str, value: Any) -> Any:
@@ -440,10 +392,8 @@ def _env_overrides(environ: Mapping[str, str]) -> dict:
 def _coerce_env(key: str, raw: str, spec: dataclasses.Field) -> Any:
     kind = str(spec.type)
     try:
-        if "bool" in kind and "None" not in kind:
-            value: Any = _parse_bool(key, raw)
-        elif kind.startswith("int"):
-            value = int(raw)
+        if kind.startswith("int"):
+            value: Any = int(raw)
         elif kind.startswith("float"):
             value = float(raw)
         else:
@@ -456,8 +406,7 @@ def _coerce_env(key: str, raw: str, spec: dataclasses.Field) -> Any:
 
 
 #: serve CLI destinations that feed the cluster block.
-_ARG_CLUSTER_FIELDS = ("workers", "shard_strategy", "cache_dir",
-                       "start_method")
+_ARG_CLUSTER_FIELDS = ("workers", "cache_dir")
 
 
 def _args_overrides(args: Any) -> dict:
@@ -474,8 +423,6 @@ def _args_overrides(args: Any) -> dict:
             cluster[name] = _normalize("args", name, value)
     if getattr(args, "no_brownout", False):
         overrides["brownout"] = {"enabled": False}
-    if getattr(args, "no_keepalive", False):
-        overrides["keepalive"] = False
     if cluster:
         overrides["cluster"] = cluster
     return overrides

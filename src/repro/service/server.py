@@ -75,9 +75,62 @@ __all__ = ["ServiceConfig", "ClusterConfig", "SolveService",
 
 logger = get_logger("service")
 
-#: Entries each per-daemon memo (decoded bodies, encoded results) holds
-#: before it is cleared and refilled.
+#: Entries each per-process memo (decoded bodies, encoded results, the
+#: router's body -> shard map) holds before it is cleared and refilled.
 _MEMO_CAP = 4096
+
+
+class _Connections(dict):
+    """Open connections -> "serving a request now" (head read, reply
+    not yet flushed); idle keep-alive connections map to False.
+
+    A daemon and a fleet router each keep one, so their drains wait on
+    in-flight replies the same way.
+    """
+
+    @property
+    def busy(self) -> int:
+        return sum(1 for busy in self.values() if busy)
+
+    def close_idle(self) -> None:
+        """Cut loose keep-alive connections with no request in flight.
+
+        A drain must not wait on a peer that is merely holding a
+        persistent connection open; a busy connection finishes its
+        reply first (its serving loop then closes it, seeing the
+        drain).
+        """
+        for writer, busy in list(self.items()):
+            if not busy:
+                writer.close()
+
+    async def serve(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        serve_one: Callable[..., Any],
+        read_timeout: float | None,
+    ) -> None:
+        """One TCP connection: ``serve_one(reader, writer, deadline)``
+        answers a request and returns True to keep the connection
+        (HTTP/1.1 keep-alive) for the next one."""
+        self[writer] = False
+        deadline = read_deadline(read_timeout)
+        try:
+            while await serve_one(reader, writer, deadline):
+                pass
+        except (ConnectionError, asyncio.IncompleteReadError, OSError):
+            pass
+        finally:
+            if deadline is not None:
+                deadline.close()
+            self.pop(writer, None)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
 
 class _Instruments:
     """Every metric the daemon exports, built on one registry."""
@@ -316,9 +369,7 @@ class SolveService:
         self._started_at = time.monotonic()
         self._ewma_hold = 0.0
         self._draining = False
-        #: writer -> "currently serving a request" (head read, reply
-        #: not yet flushed).  Idle keep-alive connections are False.
-        self._conn_busy: dict[asyncio.StreamWriter, bool] = {}
+        self._conn_busy = _Connections()
         self._brownout_task: asyncio.Task | None = None
         #: body bytes -> (decoded request, deadline budget).  Identical
         #: bytes decode identically, so hot traffic skips the JSON
@@ -343,12 +394,8 @@ class SolveService:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        bind_kwargs: dict[str, Any] = {}
-        if self.config.reuse_port:
-            bind_kwargs["reuse_port"] = True
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            **bind_kwargs,
+            self._handle_connection, self.config.host, self.config.port
         )
         self._started_at = time.monotonic()
         if self.config.brownout.enabled:
@@ -376,47 +423,30 @@ class SolveService:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
         self.batcher.flush_pending()
-        self._close_idle_connections()
+        self._conn_busy.close_idle()
         budget = self.config.drain_timeout if timeout is None else timeout
         deadline = time.monotonic() + budget
         while (
             self.instruments._inflight_count > 0
-            or self._busy_connections > 0
+            or self._conn_busy.busy
             or self.batcher.busy
         ):
             if time.monotonic() >= deadline:
                 logger.warning(
                     "drain timed out %s",
                     kv(inflight=self.instruments._inflight_count,
-                       connections=self._busy_connections,
+                       connections=self._conn_busy.busy,
                        batcher_busy=self.batcher.busy, budget=budget),
                 )
                 return False
             self.batcher.flush_pending()
-            self._close_idle_connections()
+            self._conn_busy.close_idle()
             await asyncio.sleep(0.005)
-        self._close_idle_connections()
+        self._conn_busy.close_idle()
         logger.info("drain complete %s", kv(budget=budget))
         return True
-
-    @property
-    def _busy_connections(self) -> int:
-        return sum(1 for busy in self._conn_busy.values() if busy)
-
-    def _close_idle_connections(self) -> None:
-        """Cut loose keep-alive connections with no request in flight.
-
-        Drain must not wait on a peer that is merely holding a
-        persistent connection open; a busy connection finishes its
-        reply first (the serving loop then closes it itself because
-        ``_draining`` is set).
-        """
-        for conn_writer, busy in list(self._conn_busy.items()):
-            if not busy:
-                conn_writer.close()
 
     async def stop(self) -> None:
         if self._brownout_task is not None:
@@ -473,27 +503,13 @@ class SolveService:
     ) -> None:
         """One TCP connection: serve requests until either side closes.
 
-        With ``config.keepalive`` (the default) the connection persists
-        across exchanges HTTP/1.1-style; a peer sending ``Connection:
-        close``, any framing error, a drain in progress, or
-        ``keepalive=False`` ends it after the current reply.
+        The connection persists across exchanges HTTP/1.1-style; a peer
+        sending ``Connection: close``, any framing error or a drain in
+        progress ends it after the current reply.
         """
-        self._conn_busy[writer] = False
-        deadline = read_deadline(self.config.read_timeout)
-        try:
-            while True:
-                keep = await self._serve_one(reader, writer, deadline)
-                if not keep:
-                    break
-        finally:
-            if deadline is not None:
-                deadline.close()
-            self._conn_busy.pop(writer, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await self._conn_busy.serve(
+            reader, writer, self._serve_one, self.config.read_timeout
+        )
 
     async def _serve_one(
         self,
@@ -543,15 +559,12 @@ class SolveService:
                     )
                 except ValueError:
                     pass
-            keep = (
-                self.config.keepalive
-                and not self._draining
-                and http.headers.get("connection", "").lower() != "close"
-            )
             reply = await self._route(http, request_id)
             status = reply.status
-            if self._draining:
-                keep = False
+            keep = (
+                not self._draining
+                and http.headers.get("connection", "").lower() != "close"
+            )
             body = json.dumps(reply.payload).encode("utf-8") \
                 if isinstance(reply.payload, dict) \
                 else reply.payload
@@ -731,10 +744,7 @@ class SolveService:
     async def _handle_solve(
         self, http: HttpRequest, request_id: str
     ) -> _Reply:
-        memo = (
-            self._parse_memo.get(http.body)
-            if self.config.hot_cache_fast_path else None
-        )
+        memo = self._parse_memo.get(http.body)
         if memo is not None:
             request, budget = memo
         else:
@@ -744,10 +754,9 @@ class SolveService:
                 budget = decode_deadline_ms(payload)
             except CrossbarError as exc:
                 return self._bad_request(request_id, str(exc))
-            if self.config.hot_cache_fast_path:
-                if len(self._parse_memo) >= _MEMO_CAP:
-                    self._parse_memo.clear()
-                self._parse_memo[http.body] = (request, budget)
+            if len(self._parse_memo) >= _MEMO_CAP:
+                self._parse_memo.clear()
+            self._parse_memo[http.body] = (request, budget)
         if self._draining:
             return self._shutting_down(request_id)
         if self.brownout.shedding:
@@ -1087,15 +1096,14 @@ class SolveService:
         can start many requests in one loop turn, so a ``/batch``'s
         misses share one flush.
         """
-        if self.config.hot_cache_fast_path:
-            # Cache-hot requests never leave the event loop: a pure
-            # in-memory lookup (no disk, no lock, no thread hop) serves
-            # the same bytes the batcher would.  Admission was already
-            # charged by the caller, so the loss-system contract holds.
-            hit = self.engine.cached_result(request, memory_only=True)
-            if hit is not None:
-                self.instruments.fast_path_hits.inc()
-                return hit, None, False
+        # Cache-hot requests never leave the event loop: a pure
+        # in-memory lookup (no disk, no lock, no thread hop) serves the
+        # same bytes the batcher would.  Admission was already charged
+        # by the caller, so the loss-system contract holds.
+        hit = self.engine.cached_result(request, memory_only=True)
+        if hit is not None:
+            self.instruments.fast_path_hits.inc()
+            return hit, None, False
         key = request.cache_key
         future = self.flights.join(key)
         if future is not None:
@@ -1206,38 +1214,37 @@ def _retrieve_exception(flight: asyncio.Future) -> None:
 
 
 # ----------------------------------------------------------------------
-# Hosting helpers
+# Hosting: one lifecycle for a daemon and a fleet
 # ----------------------------------------------------------------------
+#
+# A hosted object has ``start``/``drain``/``stop``/``serve_forever``
+# coroutines plus ``host``, ``port`` and ``config``: a SolveService, or
+# a fleet's ClusterSupervisor (repro.service.cluster).
 
 
 async def _serve_async(
-    config: ServiceConfig,
-    engine: BatchSolver | None = None,
-    on_started: Callable[[SolveService], None] | None = None,
+    target: Any,
+    on_started: Callable[[Any], None] | None = None,
 ) -> None:
-    service = SolveService(config, engine=engine)
-    await service.start()
+    """Serve ``target`` until a signal: the first SIGTERM/SIGINT drains
+    (stop accepting, finish what was admitted), a second forces exit."""
+    await target.start()
     if on_started is not None:
         # Cluster workers report their bound (possibly ephemeral) port
         # to the supervisor through this hook.
-        on_started(service)
+        on_started(target)
     loop = asyncio.get_running_loop()
     stop_now = asyncio.Event()
-    signals_seen = 0
+    drains: list[asyncio.Task] = []
+
+    async def _drain_then_stop() -> None:
+        await target.drain()
+        stop_now.set()
 
     def _on_signal() -> None:
-        # First signal: graceful drain (stop accepting, finish what was
-        # admitted, resolve coalesced followers).  Second: force exit.
-        nonlocal signals_seen
-        signals_seen += 1
-        if signals_seen == 1:
+        if not drains:
             logger.warning("shutdown signal received; draining")
-
-            async def _drain_then_stop() -> None:
-                await service.drain()
-                stop_now.set()
-
-            loop.create_task(_drain_then_stop())
+            drains.append(loop.create_task(_drain_then_stop()))
         else:
             logger.warning("second shutdown signal; forcing exit")
             stop_now.set()
@@ -1250,13 +1257,13 @@ async def _serve_async(
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-main thread or unsupported platform
 
+    forever = loop.create_task(target.serve_forever())
+    stopper = loop.create_task(stop_now.wait())
     try:
-        forever = loop.create_task(service.serve_forever())
-        stopper = loop.create_task(stop_now.wait())
         await asyncio.wait(
             {forever, stopper}, return_when=asyncio.FIRST_COMPLETED
         )
-        if not stopper.done() and service._draining:
+        if not stopper.done() and drains:
             # The listener closing is a *consequence* of the drain, not
             # the end of it: keep the loop alive until the drain (or a
             # second, forcing signal) sets stop_now, so in-flight
@@ -1270,7 +1277,7 @@ async def _serve_async(
         await asyncio.gather(forever, stopper, return_exceptions=True)
         for sig in installed:
             loop.remove_signal_handler(sig)
-        await service.stop()
+        await target.stop()
 
 
 def serve(
@@ -1279,15 +1286,17 @@ def serve(
     on_started: Callable[[SolveService], None] | None = None,
 ) -> None:
     """Run the daemon in the current thread until interrupted."""
-    asyncio.run(_serve_async(config or ServiceConfig(), engine, on_started))
+    service = SolveService(config or ServiceConfig(), engine=engine)
+    asyncio.run(_serve_async(service, on_started))
 
 
 class ServiceHandle:
-    """A daemon running on its own thread/event loop (tests, benchmarks)."""
+    """A daemon or a fleet on its own thread/event loop (tests,
+    benchmarks); ``service`` is the hosted object."""
 
     def __init__(
         self,
-        service: SolveService,
+        service: Any,
         loop: asyncio.AbstractEventLoop,
         thread: threading.Thread,
     ) -> None:
@@ -1318,21 +1327,61 @@ class ServiceHandle:
             timeout if timeout is not None
             else self.service.config.drain_timeout
         )
-        return future.result(budget + 5.0)
+        return future.result(budget + 10.0)
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Stop serving, drain flushes, join the thread."""
+    def stop(self, timeout: float = 30.0) -> None:
+        """Stop the loop (the service's ``stop`` runs on it), join the
+        thread."""
         if self.thread.is_alive():
             self.loop.call_soon_threadsafe(self.loop.stop)
             self.thread.join(timeout)
         if self.thread.is_alive():  # pragma: no cover - hang guard
-            raise RuntimeError("service thread did not stop in time")
+            raise RuntimeError(f"{self.thread.name} did not stop in time")
 
     def __enter__(self) -> "ServiceHandle":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+def _start_hosted(
+    make: Callable[[], Any],
+    name: str,
+    budget: float,
+    handle_type: type[ServiceHandle] = ServiceHandle,
+) -> ServiceHandle:
+    """Build ``make()`` on a fresh daemon thread with its own loop,
+    start it and return its handle once it serves."""
+    started = threading.Event()
+    box: dict[str, Any] = {}
+
+    def runner() -> None:
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        try:
+            target = make()
+            loop.run_until_complete(target.start())
+        except BaseException as exc:  # noqa: BLE001 - surfaced to caller
+            box["error"] = exc
+            started.set()
+            loop.close()
+            return
+        box["target"], box["loop"] = target, loop
+        started.set()
+        try:
+            loop.run_forever()
+        finally:
+            loop.run_until_complete(target.stop())
+            loop.close()
+
+    thread = threading.Thread(target=runner, daemon=True, name=name)
+    thread.start()
+    if not started.wait(budget):  # pragma: no cover - startup hang guard
+        raise RuntimeError(f"{name} did not start within {budget:.0f}s")
+    if "error" in box:
+        raise box["error"]
+    return handle_type(box["target"], box["loop"], thread)
 
 
 def start_in_thread(
@@ -1345,34 +1394,6 @@ def start_in_thread(
     back from ``handle.port``.
     """
     config = config or ServiceConfig(port=0)
-    started = threading.Event()
-    box: dict[str, Any] = {}
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        service = SolveService(config, engine=engine)
-        try:
-            loop.run_until_complete(service.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            box["error"] = exc
-            started.set()
-            loop.close()
-            return
-        box["service"], box["loop"] = service, loop
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(service.stop())
-            loop.close()
-
-    thread = threading.Thread(
-        target=runner, daemon=True, name="repro-service"
+    return _start_hosted(
+        lambda: SolveService(config, engine=engine), "repro-service", 15.0
     )
-    thread.start()
-    if not started.wait(15.0):  # pragma: no cover - startup hang guard
-        raise RuntimeError("service did not start within 15s")
-    if "error" in box:
-        raise box["error"]
-    return ServiceHandle(box["service"], box["loop"], thread)

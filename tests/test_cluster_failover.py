@@ -12,11 +12,12 @@ The PR-8 ladder, bottom to top:
 * **backoff** — respawn delays grow exponentially with deterministic
   per-(shard, generation) jitter, so a seeded chaos rerun sees the
   identical schedule;
-* **dead shard** — ``max_respawns`` exhaustion (or ``respawn=False``)
-  is terminal and observable everywhere: ``/cluster`` state, a non-200
-  ``/healthz``, the ``repro_cluster_shard_dead`` gauge — while the
-  dead slot's keys keep answering through live peers with an
-  ``X-Shard-Failover`` stamp and byte-identical results.
+* **dead shard** — ``max_respawns`` exhaustion (with
+  ``max_respawns=0``, the first death) is terminal and observable
+  everywhere: ``/cluster`` state, a non-200 ``/healthz``, the
+  ``repro_cluster_shard_dead`` gauge — while the dead slot's keys keep
+  answering through live peers with an ``X-Shard-Failover`` stamp and
+  byte-identical results.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def test_client_never_probes_map_for_non_clusters(monkeypatch):
 
 
 def test_dead_shard_fails_over_and_is_surfaced_everywhere(tmp_path):
-    """Kill one of two workers with respawn disabled: its keys fail
+    """Kill one of two workers with no respawns left: its keys fail
     over to the peer (byte-identical, stamped), and the dead slot is
     visible on /cluster, /healthz (non-200) and the dead gauge."""
     config = ServiceConfig(
@@ -259,7 +260,7 @@ def test_dead_shard_fails_over_and_is_surfaced_everywhere(tmp_path):
             workers=2,
             cache_dir=str(tmp_path),
             health_interval=0.05,
-            respawn=False,
+            max_respawns=0,
         ),
     )
     with start_cluster_in_thread(config) as handle:

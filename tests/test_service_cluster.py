@@ -305,3 +305,29 @@ def test_router_cuts_off_a_slow_loris_within_the_read_bound():
         assert solution_bytes(envelope["result"]) == solution_bytes(
             encode_result(solve(REQUESTS[0]))
         )
+
+
+def test_full_route_memo_is_refilled_not_frozen(monkeypatch):
+    """The router's body -> shard memo holding 4096 entries is cleared
+    before the next insert: a new body routed twice is decoded once."""
+    import repro.service.cluster as cluster_module
+
+    decoded: list[int] = []
+    real_decode = cluster_module.decode_request
+
+    def counting_decode(payload):
+        decoded.append(1)
+        return real_decode(payload)
+
+    monkeypatch.setattr(cluster_module, "decode_request", counting_decode)
+    supervisor = cluster_module.ClusterSupervisor(
+        ServiceConfig(port=0, cluster=ClusterConfig(workers=2))
+    )
+    for i in range(4096):  # 4096 distinct bodies seen
+        supervisor._route_cache[b"filler-%d" % i] = (0, 1)
+    body = json.dumps({"request": REQUESTS[0].to_dict()}).encode()
+    first = supervisor._shard_for_body("/solve", body)
+    assert supervisor._shard_for_body("/solve", body) == first
+    assert first == supervisor.ring.preference(REQUESTS[0].cache_key)
+    assert decoded == [1]  # the second sighting hit the memo
+    assert list(supervisor._route_cache) == [body]

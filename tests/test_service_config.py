@@ -28,11 +28,10 @@ def args_namespace(**given) -> argparse.Namespace:
             "host", "port", "gate_capacity", "point_weight",
             "batch_member_weight", "batch_window", "max_batch",
             "min_hold", "read_timeout", "write_timeout",
-            "drain_timeout", "workers", "shard_strategy", "cache_dir",
-            "start_method",
+            "drain_timeout", "workers", "cache_dir",
         )
     }
-    base.update(no_brownout=False, no_keepalive=False)
+    base.update(no_brownout=False)
     base.update(given)
     return argparse.Namespace(**base)
 
@@ -56,8 +55,6 @@ def test_defaults_are_valid_and_frozen():
         {"gate_capacity": 0},
         {"point_weight": 0},
         {"drain_timeout": -1.0},
-        {"cluster": ClusterConfig(workers=2, shard_strategy="reuseport"),
-         "port": 0},
     ],
 )
 def test_bad_service_values_raise_at_construction(bad):
@@ -69,8 +66,6 @@ def test_bad_service_values_raise_at_construction(bad):
     "bad",
     [
         {"workers": 0},
-        {"shard_strategy": "round-robin"},
-        {"start_method": "threads"},
         {"health_interval": 0.0},
         {"max_respawns": -1},
         {"hash_replicas": 0},
@@ -95,11 +90,10 @@ def test_to_toml_round_trips_through_from_toml(tmp_path):
         batch_window=0.004,
         min_hold=0.02,
         read_timeout=None,
-        keepalive=False,
         brownout=BrownoutConfig(enabled=False),
         cluster=ClusterConfig(
             workers=3, cache_dir="/tmp/shared-cache",
-            hash_replicas=32, start_method="spawn",
+            hash_replicas=32, max_respawns=0,
         ),
     )
     path = tmp_path / "service.toml"
@@ -109,9 +103,20 @@ def test_to_toml_round_trips_through_from_toml(tmp_path):
 
 def test_from_toml_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.toml"
-    path.write_text("[service]\nporte = 8377\n")
-    with pytest.raises(ConfigurationError):
-        ServiceConfig.from_toml(path)
+    for text in (
+        "[service]\nporte = 8377\n",
+        # Keys removed in 3.0 are unknown keys like any other.
+        "[service]\nkeepalive = false\n",
+        "[service]\nhot_cache_fast_path = false\n",
+        "[service]\nreuse_port = true\n",
+        '[cluster]\nshard_strategy = "hash"\n',
+        '[cluster]\nstart_method = "spawn"\n',
+        "[cluster]\nrespawn = false\n",
+        "[cluster]\nfailover = true\n",
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            ServiceConfig.from_toml(path)
 
 
 def test_from_toml_rejects_invalid_toml(tmp_path):
@@ -131,7 +136,6 @@ def test_from_env_reads_typed_values():
         f"{ENV_PREFIX}PORT": "9100",
         f"{ENV_PREFIX}GATE_CAPACITY": "9",
         f"{ENV_PREFIX}MIN_HOLD": "0.25",
-        f"{ENV_PREFIX}KEEPALIVE": "false",
         f"{ENV_PREFIX}WORKERS": "4",
         f"{ENV_PREFIX}CACHE_DIR": "/tmp/fleet-cache",
         f"{ENV_PREFIX}BROWNOUT": "0",
@@ -140,15 +144,25 @@ def test_from_env_reads_typed_values():
     assert config.port == 9100
     assert config.gate_capacity == 9
     assert config.min_hold == pytest.approx(0.25)
-    assert config.keepalive is False
     assert config.cluster.workers == 4
     assert config.cluster.cache_dir == "/tmp/fleet-cache"
     assert config.brownout.enabled is False
 
 
 def test_from_env_rejects_unknown_variable():
-    with pytest.raises(ConfigurationError):
-        ServiceConfig.from_env({f"{ENV_PREFIX}PROT": "8377"})
+    for name, raw in (
+        ("PROT", "8377"),
+        # Variables of the knobs removed in 3.0.
+        ("KEEPALIVE", "false"),
+        ("HOT_CACHE_FAST_PATH", "false"),
+        ("REUSE_PORT", "true"),
+        ("SHARD_STRATEGY", "hash"),
+        ("START_METHOD", "spawn"),
+        ("RESPAWN", "false"),
+        ("FAILOVER", "true"),
+    ):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig.from_env({f"{ENV_PREFIX}{name}": raw})
 
 
 def test_from_env_rejects_untyped_garbage():
@@ -163,15 +177,32 @@ def test_from_env_rejects_untyped_garbage():
 
 def test_from_args_reads_service_and_cluster_flags():
     config = ServiceConfig.from_args(args_namespace(
-        port=9200, workers=2, shard_strategy="hash",
+        port=9200, workers=2,
         cache_dir="/tmp/cli-cache", no_brownout=True,
-        no_keepalive=True,
     ))
     assert config.port == 9200
     assert config.cluster.workers == 2
     assert config.cluster.cache_dir == "/tmp/cli-cache"
     assert config.brownout.enabled is False
-    assert config.keepalive is False
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--shard-strategy", "hash"],
+        ["--start-method", "spawn"],
+        ["--no-keepalive"],
+    ],
+)
+def test_serve_rejects_the_flags_removed_in_3_0(flags, capsys):
+    """argparse refuses them (usage error, exit 2) before any config
+    is built."""
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["serve", "--port", "0", *flags])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_zero_timeout_flags_mean_disabled():
@@ -212,12 +243,4 @@ def test_for_shard_builds_the_per_worker_view():
     assert worker.shard_index == 2
     assert worker.host == "127.0.0.1"
     assert worker.port == 34567
-    assert worker.reuse_port is False
     assert worker.cluster.workers == 1  # no nested fleet
-
-    spray = ServiceConfig(
-        host="0.0.0.0", port=8400,
-        cluster=ClusterConfig(workers=3, shard_strategy="reuseport"),
-    ).for_shard(1, port=0)
-    assert spray.reuse_port is True
-    assert spray.port == 8400  # every worker shares the public port

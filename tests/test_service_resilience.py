@@ -536,6 +536,33 @@ def test_sigterm_drains_inflight_then_exits():
 
 
 @pytest.mark.slow
+def test_fleet_sigterm_drains_inflight_then_exits():
+    """The fleet keeps the single daemon's drain contract: a /solve
+    admitted through the router before SIGTERM is answered, then the
+    supervisor and its workers exit cleanly."""
+    port = _free_port()
+    proc = _spawn_daemon(port, "--workers", "2", "--min-hold", "0.5")
+    try:
+        client = _wait_healthy(port)
+        request = point_request(5)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            inflight = pool.submit(client.solve, request)
+            time.sleep(0.15)  # let it pass admission and start holding
+            proc.send_signal(signal.SIGTERM)
+            served = inflight.result(15.0)
+        expected = solve(request)
+        assert served == expected
+        assert [x.hex() for x in served.blocking] == [
+            x.hex() for x in expected.blocking
+        ]
+        assert proc.wait(15.0) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(5.0)
+
+
+@pytest.mark.slow
 def test_second_sigterm_forces_exit():
     port = _free_port()
     # A huge min-hold wedges the drain; only the second signal exits.
