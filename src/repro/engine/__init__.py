@@ -18,6 +18,7 @@ from .batch import (
     FailedResult,
     TaskAttempt,
     get_default_engine,
+    readdressed,
     reset_default_engine,
     set_default_engine,
     sliced_solution,
@@ -57,6 +58,7 @@ __all__ = [
     "FailedResult",
     "TaskAttempt",
     "get_default_engine",
+    "readdressed",
     "reset_default_engine",
     "set_default_engine",
     "sliced_solution",

@@ -6,9 +6,12 @@ model:
 
 1. **Memoization** — requests canonicalize into exact cache keys
    (:mod:`repro.engine.keys`), so identical models are never solved
-   twice.  An LRU holds :class:`~repro.api.SolveResult` records (plus a
-   smaller memo of full solution objects); an optional
-   :class:`~repro.engine.cache.DiskCache` persists results as JSON.
+   twice.  An LRU holds :class:`~repro.api.SolveResult` records; an
+   optional :class:`~repro.engine.cache.DiskCache` persists them as
+   JSON.  Full solution objects (grids and all) are memoized only by
+   :meth:`BatchSolver.solution_for`, for the callers that want them;
+   the result entry points read that memo but never write it, so a
+   grid solved to serve results is dropped once its points are read.
 2. **Q-grid reuse** — Algorithm 1 computes the normalization grid
    ``Q(n)`` *for every sub-dimension* ``n <= N`` in one ``O(N1 N2 R)``
    pass, and every measure is a ratio read ``G(N - a_r 1_i)/G(N)`` off
@@ -72,6 +75,7 @@ __all__ = [
     "FailedResult",
     "TaskAttempt",
     "get_default_engine",
+    "readdressed",
     "set_default_engine",
     "reset_default_engine",
 ]
@@ -94,7 +98,12 @@ class EngineConfig:
 
     #: Capacity of the scalar-result LRU.
     lru_size: int = 4096
-    #: Capacity of the (heavier) full-solution memo.
+    #: Capacity of the full-solution memo behind
+    #: :meth:`BatchSolver.solution_for` (model solves, sweeps, robust,
+    #: validation, multistage, the CLI).  Only ``solution_for`` fills
+    #: it; ``solve`` and ``evaluate_many`` read it but never write it.
+    #: One Algorithm 1 solution holds ``(R + 1)`` float64 grids of
+    #: ``(N1 + 1) x (N2 + 1)`` cells (~0.4 MB at N = 128, R = 2).
     solution_lru_size: int = 128
     #: Directory for the persistent JSON cache; None disables it.
     disk_cache: str | Path | None = None
@@ -393,6 +402,39 @@ def _reorder_permutation(
     return perm
 
 
+def readdressed(
+    result: SolveResult | FailedResult, request: SolveRequest
+) -> SolveResult | FailedResult:
+    """``result``, solved for a request with ``request``'s cache key, as
+    answered to ``request``: the same object for an equal request, else
+    a copy carrying ``request`` with its per-class measures in
+    ``request``'s class order."""
+    if result.request is request or result.request == request:
+        return result
+    if isinstance(result, FailedResult):
+        return replace(result, request=request)
+    perm = _reorder_permutation(result.request.classes, request.classes)
+    if perm is None:
+        return replace(result, request=request)
+    return result.reordered(perm, request)
+
+
+def _twins(misses: list[tuple[int, SolveRequest, str]]) -> list[int]:
+    """``twins[k]``: index of the first miss equal to ``misses[k]`` as a
+    request (``k`` itself when none comes before it).
+
+    Equal requests need one solve between them.  The key is part of the
+    match, so classes that compare equal but key apart (``0.0`` and
+    ``-0.0``) stay apart; another class order is another request and is
+    solved on its own.
+    """
+    first: dict[tuple[str, SolveRequest], int] = {}
+    return [
+        first.setdefault((key, request), k)
+        for k, (_, request, key) in enumerate(misses)
+    ]
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -431,14 +473,18 @@ class BatchSolver:
     # ------------------------------------------------------------------
 
     def solve(self, request: SolveRequest) -> SolveResult:
-        """One request, through every cache layer."""
+        """One request, through every cache layer.
+
+        A miss reads a solution :meth:`solution_for` already holds, or
+        solves afresh; only the result is kept.
+        """
         key = request.cache_key
         self.stats._add("lookups")
         hit = self._lookup(key, request)
         if hit is not None:
             return hit
         began = time.perf_counter()
-        solution = self._solution_memo_or_solve(request)
+        solution = self._read_or_solve(request)
         result = _result_from(
             request, solution, time.perf_counter() - began
         )
@@ -451,38 +497,52 @@ class BatchSolver:
         This is what the grid-returning entry points
         (:meth:`CrossbarModel.solve`, ``solve_robust``, the sweep
         helpers) delegate to: they keep returning rich solution objects
-        while sharing the engine's memoization.
+        while sharing the engine's memoization.  It is the solution
+        memo's only writer.
         """
         self.stats._add("lookups")
-        key = request.cache_key
-        entry = self._solutions.get(key)
-        if entry is not None:
-            stored_classes, solution = entry
-            if stored_classes == request.classes:
-                self.stats._add("memory_hits")
-                return solution
-            if isinstance(solution, PerformanceSolution):
-                perm = _reorder_permutation(stored_classes, request.classes)
-                self.stats._add("memory_hits")
-                if perm is None:
-                    return solution
-                return replace(
-                    solution,
-                    classes=request.classes,
-                    h=tuple(solution.h[j] for j in perm),
-                    e_smooth={
-                        i: solution.e_smooth[j]
-                        for i, j in enumerate(perm)
-                        if j in solution.e_smooth
-                    },
-                    _concurrency_cache={},
-                )
-            # Non-grid solution types are cheapest to just re-solve for
-            # the new class order (measure indices must line up).
+        solution = self._memoized(request)
+        if solution is not None:
+            self.stats._add("memory_hits")
+            return solution
         solution = _dispatch_solve(request)
         self.stats._add("solves")
-        self._solutions.put(key, (request.classes, solution))
+        self._solutions.put(request.cache_key, (request.classes, solution))
         return solution
+
+    def _memoized(self, request: SolveRequest) -> Any | None:
+        """The solution :meth:`solution_for` holds for ``request``, in
+        ``request``'s class order, or None.  Counts and solves nothing."""
+        entry = self._solutions.get(request.cache_key)
+        if entry is None:
+            return None
+        stored_classes, solution = entry
+        if stored_classes == request.classes:
+            return solution
+        if not isinstance(solution, PerformanceSolution):
+            # Non-grid solution types are cheapest to just re-solve for
+            # the new class order (measure indices must line up).
+            return None
+        perm = _reorder_permutation(stored_classes, request.classes)
+        if perm is None:
+            return solution
+        return replace(
+            solution,
+            classes=request.classes,
+            h=tuple(solution.h[j] for j in perm),
+            e_smooth={
+                i: solution.e_smooth[j]
+                for i, j in enumerate(perm)
+                if j in solution.e_smooth
+            },
+            _concurrency_cache={},
+        )
+
+    def _read_or_solve(self, request: SolveRequest) -> Any:
+        """Read-through, never write-back: a memoized solution, or a
+        fresh one the caller reads and drops."""
+        solution = self._memoized(request)
+        return solution if solution is not None else _dispatch_solve(request)
 
     # ------------------------------------------------------------------
     # Batch evaluation
@@ -498,10 +558,13 @@ class BatchSolver:
 
         Results are returned in request order regardless of execution
         order, and are byte-identical whether served serially, in
-        parallel, or from cache.  Each leftover miss is solved once,
-        serially or — when ``parallel`` asks for it, or (``None``) at
-        :data:`PARALLEL_THRESHOLD` misses or more — over a process
-        pool.  A request whose solver raises a
+        parallel, or from cache.  Each leftover miss is solved once —
+        misses equal as requests share that solve — serially or, when
+        ``parallel`` asks for it or (``None``) at
+        :data:`PARALLEL_THRESHOLD` solves or more, over a process pool.
+        Solution objects are read through :meth:`solution_for`'s memo
+        but never written back: only results are kept.  A request
+        whose solver raises a
         :class:`~repro.exceptions.CrossbarError` comes back as a
         :class:`FailedResult` in its slot while the rest of the batch
         completes; ``strict=True`` re-raises the first such error in
@@ -543,22 +606,27 @@ class BatchSolver:
         # a strict batch raises its first failure.
         leftover.sort(key=lambda miss: miss[0])
 
-        use_pool = self._should_parallelize(len(leftover), parallel)
+        twins = _twins(leftover)
+        unique = [
+            request for k, (_, request, _) in enumerate(leftover)
+            if twins[k] == k
+        ]
+        use_pool = self._should_parallelize(len(unique), parallel)
         if use_pool:
-            workers = min(self._worker_count(), len(leftover))
+            workers = min(self._worker_count(), len(unique))
             chunk = max(
-                1, math.ceil(len(leftover) / (workers * CHUNKS_PER_WORKER))
+                1, math.ceil(len(unique) / (workers * CHUNKS_PER_WORKER))
             )
             with ProcessPoolExecutor(max_workers=workers) as executor:
-                failed = self._fill(leftover, executor.map(
+                failed = self._fill(leftover, twins, executor.map(
                     partial(_solve_or_fail, strict=strict),
-                    [request for _, request, _ in leftover],
+                    unique,
                     chunksize=chunk,
                 ), results)
         else:
-            failed = self._fill(leftover, (
-                _solve_or_fail(request, strict, self._solution_memo_or_solve)
-                for _, request, _ in leftover
+            failed = self._fill(leftover, twins, (
+                _solve_or_fail(request, strict, self._read_or_solve)
+                for request in unique
             ), results)
 
         metrics = BatchMetrics(
@@ -586,13 +654,27 @@ class BatchSolver:
     def _fill(
         self,
         misses: list[tuple[int, SolveRequest, str]],
+        twins: list[int],
         solved: Iterable[SolveResult | FailedResult],
         results: list[SolveResult | FailedResult | None],
     ) -> int:
-        """Store each solved miss and place it in its slot; returns the
-        number of :class:`FailedResult` envelopes."""
+        """Store each miss's result and place it in its slot; returns the
+        number of :class:`FailedResult` envelopes.
+
+        ``solved`` yields one result per first-of-its-twins miss, in
+        order; a later twin takes its first's result object, carrying
+        its own request when that is not the very same object (class
+        names are not part of the key).
+        """
         failed = 0
-        for (i, _, key), result in zip(misses, solved):
+        solved = iter(solved)
+        for k, (i, request, key) in enumerate(misses):
+            if twins[k] == k:
+                result = next(solved)
+            else:
+                result = results[misses[twins[k]][0]]
+                if result.request is not request:
+                    result = replace(result, request=request)
             if isinstance(result, FailedResult):
                 failed += 1
             else:
@@ -608,6 +690,15 @@ class BatchSolver:
         """Drop every in-memory entry (the disk cache is left alone)."""
         self._results.clear()
         self._solutions.clear()
+
+    def cache_entries(self) -> dict[str, int]:
+        """Entries held in memory: ``results`` (the result LRU) and
+        ``solutions`` (the :meth:`solution_for` memo of full solution
+        objects, the heavy one)."""
+        return {
+            "results": len(self._results),
+            "solutions": len(self._solutions),
+        }
 
     def cached_result(
         self, request: SolveRequest, memory_only: bool = False
@@ -681,21 +772,7 @@ class BatchSolver:
         if not hit.from_cache:
             hit = replace(hit, from_cache=True, elapsed=0.0)
             self._results.put(key, hit)
-        if hit.request is request or hit.request == request:
-            return hit
-        perm = _reorder_permutation(hit.request.classes, request.classes)
-        if perm is None:
-            return replace(hit, request=request)
-        return hit.reordered(perm, request)
-
-    def _solution_memo_or_solve(self, request: SolveRequest) -> Any:
-        key = request.cache_key
-        entry = self._solutions.get(key)
-        if entry is not None and entry[0] == request.classes:
-            return entry[1]
-        solution = _dispatch_solve(request)
-        self._solutions.put(key, (request.classes, solution))
-        return solution
+        return readdressed(hit, request)
 
     # ------------------------------------------------------------------
     # Q-grid sharing
@@ -710,8 +787,10 @@ class BatchSolver:
 
         Misses sharing (ordered traffic mix, grid method) need a single
         solve at the componentwise-max dimensions; every member is a
-        ratio read at its own ``(n1, n2)``.  Returns the group count,
-        points served, and the misses left for individual solving.
+        ratio read at its own ``(n1, n2)``.  The grid is read and
+        dropped: only the members' results are stored.  Returns the
+        group count, points served, and the misses left for individual
+        solving.
         """
         groups: dict[tuple, list[tuple[int, SolveRequest, str]]] = {}
         leftover: list[tuple[int, SolveRequest, str]] = []
@@ -742,7 +821,7 @@ class BatchSolver:
                 max(m[1].dims.n2 for m in members),
             )
             try:
-                solution = self.solution_for(base_request.with_dims(top))
+                solution = self._read_or_solve(base_request.with_dims(top))
             except CrossbarError as exc:
                 # E.g. a Bernoulli admissibility guard that only trips
                 # at the enlarged dims: solve members individually.

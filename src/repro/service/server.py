@@ -38,7 +38,7 @@ from typing import Any, Callable
 
 from .. import __version__
 from ..api import SolveRequest, SolveResult
-from ..engine import BatchSolver, get_default_engine
+from ..engine import BatchSolver, get_default_engine, readdressed
 from ..exceptions import ConfigurationError, CrossbarError
 from ..logging import get_logger, kv
 from ..methods import SolveMethod
@@ -238,6 +238,16 @@ class _Instruments:
                      "grid_reads", "hit_rate"):
             engine_stat.set(
                 (lambda s=stat: engine.stats.snapshot()[s]), stat=stat
+            )
+        cache_entries = registry.gauge(
+            "repro_engine_cache_entries",
+            "Entries the engine holds in memory, by cache (results: the "
+            "result LRU; solutions: full solution objects, which serving "
+            "reads but never stores).",
+        )
+        for cache in ("results", "solutions"):
+            cache_entries.set(
+                (lambda c=cache: engine.cache_entries()[c]), cache=cache
             )
         registry.gauge(
             "repro_kernel_scaled_fallbacks",
@@ -1129,7 +1139,10 @@ class SolveService:
         the leader's flush is still computing.  A leader's terminal
         failure resolves the future with the engine's
         :class:`~repro.engine.FailedResult`, so followers receive the
-        same envelope instead of hanging.
+        same envelope instead of hanging.  A follower shares the
+        leader's key, not necessarily its class order: the flight's
+        result is re-addressed to each waiter's own request, as a cache
+        hit is.
 
         ``deadline_at`` (absolute ``time.monotonic()``) carries the
         client's ``deadline_ms`` budget: the batcher drops the request
@@ -1140,7 +1153,8 @@ class SolveService:
         hit, future, coalesced = self._start(request, deadline_at)
         if future is None:
             return hit, False
-        return await self._await_flight(future, deadline_at), coalesced
+        result = await self._await_flight(future, deadline_at)
+        return readdressed(result, request), coalesced
 
     async def _execute_all(
         self,
@@ -1174,8 +1188,9 @@ class SolveService:
             if pending:
                 raise asyncio.TimeoutError
         return [
-            (hit, False) if future is None else (future.result(), coalesced)
-            for hit, future, coalesced in started
+            (hit, False) if future is None
+            else (readdressed(future.result(), request), coalesced)
+            for request, (hit, future, coalesced) in zip(requests, started)
         ]
 
     @staticmethod

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.engine import (
     request_key,
     sliced_solution,
 )
+import repro.engine.batch as batch_module
 from repro.engine.cache import DISK_CACHE_VERSION
 from repro.exceptions import ComputationError, ConfigurationError
 from repro.methods import SolveMethod
@@ -385,6 +388,162 @@ class TestEvaluateMany:
         before = engine.stats.lookups
         solve_many([SolveRequest.square(5, classes)])
         assert engine.stats.lookups > before
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Requests that reach the engine's solver dispatch, in order."""
+    calls: list[SolveRequest] = []
+    real_dispatch = batch_module._dispatch_solve
+
+    def counting_dispatch(request):
+        calls.append(request)
+        return real_dispatch(request)
+
+    monkeypatch.setattr(batch_module, "_dispatch_solve", counting_dispatch)
+    return calls
+
+
+def reversed_order(request: SolveRequest) -> SolveRequest:
+    return SolveRequest(request.dims, request.classes[::-1], request.method)
+
+
+def assert_hex_equal(got, want) -> None:
+    assert got == want
+    for name in ("blocking", "concurrency", "acceptance", "throughput"):
+        assert [x.hex() for x in getattr(got, name)] == [
+            x.hex() for x in getattr(want, name)
+        ], name
+    assert got.revenue.hex() == want.revenue.hex()
+
+
+class TestReadThrough:
+    """The result entry points read the solution memo, never fill it."""
+
+    @pytest.mark.parametrize("shape", ["points", "sweeps"])
+    def test_solved_grids_are_not_retained(self, shape):
+        mixes = [
+            (
+                TrafficClass.poisson(0.001 * (k + 1), name="data"),
+                TrafficClass(alpha=0.0005, beta=0.1 + 0.01 * k, mu=1.0, a=2,
+                             name="video"),
+            )
+            for k in range(8)
+        ]
+        sizes = (128,) if shape == "points" else (64, 128)
+        requests = [
+            SolveRequest.square(n, mix) for mix in mixes for n in sizes
+        ]
+        engine = fresh_engine()
+        # Load the kernels first: their imports are not the engine's.
+        engine.evaluate_many(
+            [SolveRequest.square(4, mixes[0])], parallel=False
+        )
+        engine.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            results = engine.evaluate_many(requests, parallel=False)
+            del results
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Eight Algorithm 1 solutions at N = 128 hold ~3.3 MB of grids.
+        assert retained < 0.5e6, f"{retained / 1e6:.2f} MB retained"
+        assert engine.cache_entries() == {
+            "results": len(requests), "solutions": 0,
+        }
+
+    def test_memoized_solution_is_read_not_resolved(
+        self, classes, dispatched
+    ):
+        engine = fresh_engine()
+        top = SolveRequest.create(8, 8, classes)
+        engine.solution_for(top)
+        assert len(dispatched) == 1
+        engine.solve(top)
+        # A grid group whose componentwise-max dims are ``top``.
+        members = [
+            SolveRequest.create(8, 6, classes),
+            SolveRequest.create(6, 8, classes),
+        ]
+        grouped = engine.evaluate_many(members, parallel=False)
+        assert len(dispatched) == 1
+        assert engine.last_metrics.grid_groups == 1
+        for request, result in zip(members, grouped):
+            assert_hex_equal(result, fresh_engine().solve(request))
+
+    @pytest.mark.parametrize(
+        "method", [SolveMethod.MVA, SolveMethod.EXACT]
+    )
+    def test_equal_misses_share_one_dispatch_per_class_order(
+        self, classes, dispatched, method
+    ):
+        forward = SolveRequest.square(4, classes, method)
+        reverse = reversed_order(forward)
+        results = fresh_engine().evaluate_many(
+            [forward, forward, reverse], parallel=False
+        )
+        assert dispatched == [forward, reverse]
+        assert not results[1].from_cache
+        assert_hex_equal(results[0], fresh_engine().solve(forward))
+        assert_hex_equal(results[1], fresh_engine().solve(forward))
+        assert_hex_equal(results[2], fresh_engine().solve(reverse))
+        assert results[2].request.classes == reverse.classes
+
+    def test_an_equal_miss_gets_its_twins_result_object(self, classes):
+        request = SolveRequest.square(4, classes, SolveMethod.MVA)
+        first, twin = fresh_engine().evaluate_many(
+            [request, request], parallel=False
+        )
+        assert twin is first and not twin.from_cache
+
+    def test_an_equal_miss_keeps_its_own_request(self, classes):
+        """Class names are not part of the key: a twin differing only
+        by names shares the solve but is answered under its own request."""
+        forward = SolveRequest.square(4, classes, SolveMethod.MVA)
+        renamed = SolveRequest.square(4, tuple(
+            TrafficClass(c.alpha, c.beta, c.mu, c.a, c.weight, name="x")
+            for c in classes
+        ), SolveMethod.MVA)
+        first, twin = fresh_engine().evaluate_many(
+            [forward, renamed], parallel=False
+        )
+        assert twin.request is renamed
+        assert_hex_equal(twin, first)
+
+    def test_pool_maps_each_distinct_miss_once(
+        self, classes, monkeypatch
+    ):
+        mapped: list[SolveRequest] = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                mapped.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", InlinePool)
+        forward = SolveRequest.square(4, classes, SolveMethod.MVA)
+        reverse = reversed_order(forward)
+        engine = fresh_engine(processes=2)
+        results = engine.evaluate_many(
+            [forward, reverse, forward, forward], parallel=True
+        )
+        assert engine.last_metrics.parallel
+        assert mapped == [forward, reverse]
+        assert results[2] is results[0] and results[3] is results[0]
+        assert results[1].request.classes == reverse.classes
 
 
 class TestSlicedSolution:

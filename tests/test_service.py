@@ -24,7 +24,7 @@ pytestmark = pytest.mark.service  # spins up the solve-serving daemon
 
 from repro.api import SolveRequest, solve, solve_many
 from repro.core.traffic import TrafficClass
-from repro.engine import BatchSolver, EngineConfig
+from repro.engine import BatchSolver, EngineConfig, readdressed
 from repro.exceptions import ConfigurationError
 from repro.methods import SolveMethod
 from repro.service import (
@@ -422,6 +422,102 @@ def test_batch_member_joins_in_flight_solve_and_gets_its_bytes():
         assert handle.service.flights.hits == 1
     finally:
         handle.stop()
+
+
+def lead_then_join(
+    handle, leader: SolveRequest, path: str, joiners: list[SolveRequest]
+) -> tuple[dict, dict]:
+    """``/solve`` ``leader``, then (while its flight is open) send
+    ``joiners`` to ``path``; returns both replies."""
+    remote_client = ServiceClient(*handle.address)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        led = pool.submit(
+            remote_client._roundtrip, "POST", "/solve",
+            {"request": leader.to_dict()},
+        )
+        deadline = time.monotonic() + 5.0
+        while not len(handle.service.flights):
+            assert time.monotonic() < deadline, "solve never led"
+            time.sleep(0.005)
+        body = (
+            {"request": joiners[0].to_dict()} if path == "/solve"
+            else {"requests": [r.to_dict() for r in joiners]}
+        )
+        status, joined = remote_client._roundtrip("POST", path, body)
+        leader_status, solo = led.result(timeout=10.0)
+    assert (status, leader_status) == (200, 200)
+    return solo, joined
+
+
+def readdressed_locally(
+    stored: SolveRequest, request: SolveRequest
+) -> dict:
+    """What a local engine that solved ``stored`` answers ``request``."""
+    return encode_result(
+        readdressed(BatchSolver(EngineConfig()).solve(stored), request)
+    )
+
+
+def test_coalesced_solve_is_answered_in_its_own_class_order():
+    # The wide window keeps the leader's flight open for the follower.
+    forward, reverse = data_video_mix(), data_video_mix(reverse=True)
+    with start_in_thread(
+        ServiceConfig(port=0, batch_window=0.5),
+        engine=BatchSolver(EngineConfig()),
+    ) as handle:
+        solo, follower = lead_then_join(handle, forward, "/solve", [reverse])
+        assert handle.service.flights.hits == 1
+    assert follower["coalesced"] is True
+    names = [c["name"] for c in follower["result"]["request"]["classes"]]
+    assert names == ["video", "data"]
+    assert json.dumps(follower["result"]) == json.dumps(
+        readdressed_locally(forward, reverse)
+    )
+    assert follower["result"]["blocking"] == solo["result"]["blocking"][::-1]
+
+
+def test_batch_member_joining_a_solve_gets_its_own_class_order():
+    forward = data_video_mix()
+    members = [
+        SolveRequest.square(n, forward.classes[::-1]) for n in (8, 6, 7)
+    ]
+    with start_in_thread(
+        ServiceConfig(port=0, batch_window=0.5),
+        engine=BatchSolver(EngineConfig()),
+    ) as handle:
+        _, batch = lead_then_join(handle, forward, "/batch", members)
+        assert handle.service.flights.hits == 1
+    assert batch["coalesced"] == 1
+    assert json.dumps(batch["results"][0]) == json.dumps(
+        readdressed_locally(forward, members[0])
+    )
+    for request, record in zip(members[1:], batch["results"][1:]):
+        assert_byte_identical(decode_result(record), solve(request))
+
+
+def test_serving_keeps_results_not_solution_objects():
+    """A /solve miss, a 32-point sweep and a two-size same-mix /batch
+    leave no Algorithm 1 grid behind: only their results are kept."""
+    engine = BatchSolver(EngineConfig())
+    point = mixed_request(7)
+    sweep = sweep_requests(rate=0.0171)
+    pair = [SolveRequest.square(n, data_video_mix().classes) for n in (5, 9)]
+    with start_in_thread(ServiceConfig(port=0), engine=engine) as handle:
+        remote_client = ServiceClient(*handle.address)
+        assert_byte_identical(remote_client.solve(point), solve(point))
+        for requests in (sweep, pair):
+            for request, result in zip(
+                requests, remote_client.solve_many(requests)
+            ):
+                assert_byte_identical(result, solve(request))
+        gauge = remote_client.metric_value(
+            "repro_engine_cache_entries", cache="solutions"
+        )
+        results_gauge = remote_client.metric_value(
+            "repro_engine_cache_entries", cache="results"
+        )
+    assert engine.cache_entries() == {"results": 35, "solutions": 0}
+    assert (gauge, results_gauge) == (0.0, 35.0)
 
 
 @pytest.mark.parametrize("path", ["/solve", "/batch"])

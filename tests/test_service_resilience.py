@@ -491,16 +491,40 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _spawn_daemon(port: int, *extra: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--port", str(port), *extra],
-        env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
+@pytest.fixture
+def spawn_daemon(tmp_path):
+    """Start ``repro serve`` in a subprocess: ``spawn(port, *flags)``.
+
+    stdout goes to ``/dev/null`` and stderr to a log file under
+    ``tmp_path``, so nothing fills an unread pipe.  Teardown kills a
+    daemon still running, closes its log and prints it (pytest shows
+    a test's teardown output only when the test fails).
+    """
+    spawned: list[tuple[subprocess.Popen, object]] = []
+
+    def spawn(port: int, *extra: str) -> subprocess.Popen:
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        log = open(tmp_path / f"daemon-{len(spawned)}.log", "wb")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--port", str(port), *extra],
+            env=env,
+            stdout=subprocess.DEVNULL, stderr=log,
+        )
+        spawned.append((proc, log))
+        return proc
+
+    yield spawn
+    for proc, log in spawned:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(5.0)
+        log.close()
+        print(f"--- daemon stderr ({log.name}) ---")
+        with open(log.name, encoding="utf-8", errors="replace") as text:
+            print(text.read())
 
 
 def _wait_healthy(port: int, timeout: float = 20.0) -> ServiceClient:
@@ -516,74 +540,59 @@ def _wait_healthy(port: int, timeout: float = 20.0) -> ServiceClient:
 
 
 @pytest.mark.slow
-def test_sigterm_drains_inflight_then_exits():
+def test_sigterm_drains_inflight_then_exits(spawn_daemon):
     port = _free_port()
-    proc = _spawn_daemon(port, "--min-hold", "0.5")
-    try:
-        client = _wait_healthy(port)
-        request = point_request(5)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            inflight = pool.submit(client.solve, request)
-            time.sleep(0.15)  # let it pass admission and start holding
-            proc.send_signal(signal.SIGTERM)
-            # The admitted request completes despite the signal.
-            assert inflight.result(15.0) == solve(request)
-        assert proc.wait(15.0) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(5.0)
+    proc = spawn_daemon(port, "--min-hold", "0.5")
+    client = _wait_healthy(port)
+    request = point_request(5)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        inflight = pool.submit(client.solve, request)
+        time.sleep(0.15)  # let it pass admission and start holding
+        proc.send_signal(signal.SIGTERM)
+        # The admitted request completes despite the signal.
+        assert inflight.result(15.0) == solve(request)
+    assert proc.wait(15.0) == 0
 
 
 @pytest.mark.slow
-def test_fleet_sigterm_drains_inflight_then_exits():
+def test_fleet_sigterm_drains_inflight_then_exits(spawn_daemon):
     """The fleet keeps the single daemon's drain contract: a /solve
     admitted through the router before SIGTERM is answered, then the
     supervisor and its workers exit cleanly."""
     port = _free_port()
-    proc = _spawn_daemon(port, "--workers", "2", "--min-hold", "0.5")
-    try:
-        client = _wait_healthy(port)
-        request = point_request(5)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            inflight = pool.submit(client.solve, request)
-            time.sleep(0.15)  # let it pass admission and start holding
-            proc.send_signal(signal.SIGTERM)
-            served = inflight.result(15.0)
-        expected = solve(request)
-        assert served == expected
-        assert [x.hex() for x in served.blocking] == [
-            x.hex() for x in expected.blocking
-        ]
-        assert proc.wait(15.0) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(5.0)
+    proc = spawn_daemon(port, "--workers", "2", "--min-hold", "0.5")
+    client = _wait_healthy(port)
+    request = point_request(5)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        inflight = pool.submit(client.solve, request)
+        time.sleep(0.15)  # let it pass admission and start holding
+        proc.send_signal(signal.SIGTERM)
+        served = inflight.result(15.0)
+    expected = solve(request)
+    assert served == expected
+    assert [x.hex() for x in served.blocking] == [
+        x.hex() for x in expected.blocking
+    ]
+    assert proc.wait(15.0) == 0
 
 
 @pytest.mark.slow
-def test_second_sigterm_forces_exit():
+def test_second_sigterm_forces_exit(spawn_daemon):
     port = _free_port()
     # A huge min-hold wedges the drain; only the second signal exits.
-    proc = _spawn_daemon(
+    proc = spawn_daemon(
         port, "--min-hold", "30", "--drain-timeout", "60"
     )
-    try:
-        client = _wait_healthy(port)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(
-                lambda: ServiceClient(
-                    "127.0.0.1", port, timeout=5.0
-                ).solve(point_request(4))
-            )
-            time.sleep(0.3)
-            proc.send_signal(signal.SIGTERM)
-            time.sleep(0.5)
-            assert proc.poll() is None  # still draining the 30s hold
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(15.0) is not None
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(5.0)
+    client = _wait_healthy(port)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(
+            lambda: ServiceClient(
+                "127.0.0.1", port, timeout=5.0
+            ).solve(point_request(4))
+        )
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGTERM)
+        time.sleep(0.5)
+        assert proc.poll() is None  # still draining the 30s hold
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(15.0) is not None

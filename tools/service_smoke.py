@@ -19,6 +19,9 @@ second small-gate daemon), and asserts:
   independent point solve of that member.
 * **Coalescing happened** — nonzero coalesce hits (the workload
   guarantees racing identical requests).
+* **Results kept, not grids** — after the drill (its sweeps solved
+  four 32-point Q-grids) the daemon's engine holds zero solution
+  objects, and ``/metrics`` says so.
 * **Admission held** — the overload drill never exceeds its gate
   bound, clears the excess with structured 503s, and the metrics
   ratio equals the observed count exactly.
@@ -186,6 +189,13 @@ def main() -> int:
     check("repro_service_requests_total" in page
           and "repro_engine_breaker_state" in page,
           "metrics page renders", failures)
+    held = handle.service.engine.cache_entries()["solutions"]
+    exported = client.metric_value(
+        "repro_engine_cache_entries", cache="solutions"
+    )
+    check(held == 0 and exported == 0.0,
+          f"no solution object outlives its reads (engine {held}, "
+          f"/metrics {exported:g})", failures)
     handle.stop()
     check(not handle.thread.is_alive(), "clean shutdown (main)", failures)
 
