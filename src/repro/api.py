@@ -154,29 +154,39 @@ class SolveRequest:
             object.__setattr__(self, "_cache_key_memo", key)
         return key
 
-    def _same_mix(self, derived: "SolveRequest") -> "SolveRequest":
-        """``derived`` (built on this class tuple) with its mix key.
+    def _derived(
+        self, dims: SwitchDimensions, method: SolveMethod
+    ) -> "SolveRequest":
+        """This class tuple at ``dims`` under ``method``, with its mix key.
 
-        Only the derived request keeps it: a request nothing derives
-        from holds no second copy of its mix in the engine's caches.
+        ``dims`` and ``method`` must already be a
+        :class:`SwitchDimensions` and a :class:`SolveMethod`; the class
+        tuple was validated when this request was made, so nothing is
+        checked again (no ``__post_init__``).  Only the derived request
+        keeps the mix key: a request nothing derives from holds no
+        second copy of its mix in the engine's caches.
         """
         mix = self.__dict__.get("_mix_key_memo")
         if mix is None:
             from .engine.keys import classes_key
 
             mix = classes_key(self.classes)
-        object.__setattr__(derived, "_mix_key_memo", mix)
-        return derived
+        request = object.__new__(type(self))
+        # The fields in __init__'s order, so instances keep one layout.
+        setattr_ = object.__setattr__
+        setattr_(request, "dims", dims)
+        setattr_(request, "classes", self.classes)
+        setattr_(request, "method", method)
+        setattr_(request, "_mix_key_memo", mix)
+        return request
 
     def with_dims(self, dims: "SwitchDimensions | int") -> "SolveRequest":
         """Same traffic and method on a different switch."""
-        return self._same_mix(replace(self, dims=_coerce_dims(dims)))
+        return self._derived(_coerce_dims(dims), self.method)
 
     def with_method(self, method: SolveMethod | str) -> "SolveRequest":
         """Same model solved by a different method."""
-        return self._same_mix(
-            replace(self, method=SolveMethod.coerce(method))
-        )
+        return self._derived(self.dims, SolveMethod.coerce(method))
 
     def to_dict(self) -> dict:
         """Flat JSON-ready record (``repro.io`` class schema)."""
@@ -311,29 +321,43 @@ class SolveResult:
         elapsed: float = 0.0,
     ) -> "SolveResult":
         """Build from the per-class measures; aggregates derived here."""
-        classes = request.classes
-        mean_occupancy = math.fsum(
-            c.a * e for c, e in zip(classes, concurrency)
-        )
-        capacity = request.dims.capacity
         return cls(
-            request=request,
-            blocking=blocking,
-            concurrency=concurrency,
-            acceptance=acceptance,
-            throughput=tuple(
-                c.mu * e for c, e in zip(classes, concurrency)
-            ),
-            revenue=math.fsum(
-                c.weight * e for c, e in zip(classes, concurrency)
-            ),
-            mean_occupancy=mean_occupancy,
-            utilization=(
-                mean_occupancy / capacity if capacity else 0.0
-            ),
-            solved_by=solved_by,
-            elapsed=elapsed,
+            request, blocking, concurrency, acceptance,
+            *_aggregates(request, concurrency),
+            solved_by=solved_by, elapsed=elapsed,
         )
+
+    @classmethod
+    def from_grid_read(
+        cls,
+        request: SolveRequest,
+        blocking: tuple[float, ...],
+        concurrency: tuple[float, ...],
+        acceptance: tuple[float, ...],
+        solved_by: str,
+        elapsed: float,
+    ) -> "SolveResult":
+        """:meth:`from_measures` for one point of
+        :meth:`PerformanceSolution.read_points`, whose tuples already
+        hold one Python float per class: they are stored as given,
+        without ``__post_init__``'s conversion and length checks."""
+        result = object.__new__(cls)
+        # The fields in __init__'s order, so instances keep one layout.
+        setattr_ = object.__setattr__
+        setattr_(result, "request", request)
+        setattr_(result, "blocking", blocking)
+        setattr_(result, "concurrency", concurrency)
+        setattr_(result, "acceptance", acceptance)
+        (throughput, revenue, mean_occupancy,
+         utilization) = _aggregates(request, concurrency)
+        setattr_(result, "throughput", throughput)
+        setattr_(result, "revenue", revenue)
+        setattr_(result, "mean_occupancy", mean_occupancy)
+        setattr_(result, "utilization", utilization)
+        setattr_(result, "solved_by", solved_by)
+        setattr_(result, "elapsed", elapsed)
+        setattr_(result, "from_cache", False)
+        return result
 
     def reordered(self, permutation: Sequence[int], request: SolveRequest) -> "SolveResult":
         """This result with classes permuted to match ``request``.
@@ -380,6 +404,23 @@ class SolveResult:
             utilization=float(record["utilization"]),
             solved_by=record.get("solved_by", ""),
         )
+
+
+def _aggregates(
+    request: SolveRequest, concurrency: Sequence[float]
+) -> tuple[tuple[float, ...], float, float, float]:
+    """``(throughput, revenue, mean_occupancy, utilization)`` of the
+    per-class concurrencies, with :class:`PerformanceSolution`'s
+    ``fsum`` formulas (so they agree bit for bit)."""
+    classes = request.classes
+    mean_occupancy = math.fsum([c.a * e for c, e in zip(classes, concurrency)])
+    capacity = request.dims.capacity
+    return (
+        tuple([c.mu * e for c, e in zip(classes, concurrency)]),
+        math.fsum([c.weight * e for c, e in zip(classes, concurrency)]),
+        mean_occupancy,
+        mean_occupancy / capacity if capacity else 0.0,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -137,9 +137,12 @@ class EngineStats:
         self.solves = 0
         self.grid_reads = 0
 
-    def _add(self, name: str, amount: int = 1) -> None:
+    def _add(self, **amounts: int) -> None:
+        """Add to counters by name, under one lock (a batch counts
+        once)."""
         with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
+            for name, amount in amounts.items():
+                setattr(self, name, getattr(self, name) + amount)
 
     @property
     def hits(self) -> int:
@@ -406,10 +409,18 @@ def readdressed(
     result: SolveResult | FailedResult, request: SolveRequest
 ) -> SolveResult | FailedResult:
     """``result``, solved for a request with ``request``'s cache key, as
-    answered to ``request``: the same object for an equal request, else
-    a copy carrying ``request`` with its per-class measures in
-    ``request``'s class order."""
-    if result.request is request or result.request == request:
+    answered to ``request``: the same object for an equal request with
+    the same class names, else a copy carrying ``request`` with its
+    per-class measures in ``request``'s class order.
+
+    Class names are outside request equality (``TrafficClass.name`` is
+    ``compare=False``) but they are part of the answer, so an equal
+    request with other names gets a copy too.
+    """
+    stored = result.request
+    if stored is request or (
+        stored == request and _same_names(stored.classes, request.classes)
+    ):
         return result
     if isinstance(result, FailedResult):
         return replace(result, request=request)
@@ -417,6 +428,12 @@ def readdressed(
     if perm is None:
         return replace(result, request=request)
     return result.reordered(perm, request)
+
+
+def _same_names(stored: Sequence, requested: Sequence) -> bool:
+    return stored is requested or all(
+        a.name == b.name for a, b in zip(stored, requested)
+    )
 
 
 def _twins(misses: list[tuple[int, SolveRequest, str]]) -> list[int]:
@@ -479,7 +496,6 @@ class BatchSolver:
         solves afresh; only the result is kept.
         """
         key = request.cache_key
-        self.stats._add("lookups")
         hit = self._lookup(key, request)
         if hit is not None:
             return hit
@@ -489,6 +505,7 @@ class BatchSolver:
             request, solution, time.perf_counter() - began
         )
         self._store(key, result)
+        self.stats._add(solves=1)
         return result
 
     def solution_for(self, request: SolveRequest) -> Any:
@@ -500,13 +517,13 @@ class BatchSolver:
         while sharing the engine's memoization.  It is the solution
         memo's only writer.
         """
-        self.stats._add("lookups")
         solution = self._memoized(request)
         if solution is not None:
-            self.stats._add("memory_hits")
+            self.stats._add(lookups=1, memory_hits=1)
             return solution
+        self.stats._add(lookups=1)
         solution = _dispatch_solve(request)
-        self.stats._add("solves")
+        self.stats._add(solves=1)
         self._solutions.put(request.cache_key, (request.classes, solution))
         return solution
 
@@ -577,7 +594,7 @@ class BatchSolver:
         results: list[SolveResult | FailedResult | None] = (
             [None] * len(requests)
         )
-        memory_hits = disk_hits = 0
+        tiers = {"memory_hits": 0, "disk_hits": 0}
 
         misses: list[tuple[int, SolveRequest, str]] = []
         for i, request in enumerate(requests):
@@ -587,14 +604,9 @@ class BatchSolver:
                     f"{request!r}"
                 )
             key = request.cache_key
-            self.stats._add("lookups")
-            before_disk = self.stats.disk_hits
-            hit = self._lookup(key, request)
+            hit, tier = self._probe(key, request)
             if hit is not None:
-                if self.stats.disk_hits > before_disk:
-                    disk_hits += 1
-                else:
-                    memory_hits += 1
+                tiers[tier] += 1
                 results[i] = hit
             else:
                 misses.append((i, request, key))
@@ -629,10 +641,17 @@ class BatchSolver:
                 for request in unique
             ), results)
 
+        # The batch's counters, under one lock.
+        self.stats._add(
+            lookups=len(requests),
+            solves=len(misses) - failed,
+            grid_reads=grid_points,
+            **tiers,
+        )
         metrics = BatchMetrics(
             requests=len(requests),
-            memory_hits=memory_hits,
-            disk_hits=disk_hits,
+            memory_hits=tiers["memory_hits"],
+            disk_hits=tiers["disk_hits"],
             grid_groups=grid_groups,
             grid_points=grid_points,
             solved=len(leftover),
@@ -718,20 +737,56 @@ class BatchSolver:
             raise ConfigurationError(
                 f"cached_result needs a SolveRequest, got {request!r}"
             )
-        self.stats._add("lookups")
         if memory_only:
             hit = self._results.get(request.cache_key)
             if hit is None:
+                self.stats._add(lookups=1)
                 return None
-            self.stats._add("memory_hits")
+            self.stats._add(lookups=1, memory_hits=1)
             return self._served(request.cache_key, hit, request)
         return self._lookup(request.cache_key, request)
 
+    def cached_results(
+        self, requests: Sequence[SolveRequest]
+    ) -> list[SolveResult | None]:
+        """``cached_result(request, memory_only=True)`` for every
+        request, in order, counted in ``stats`` once: the daemon's fast
+        path for the members of a ``/batch``."""
+        found: list[SolveResult | None] = []
+        hits = 0
+        for request in requests:
+            if not isinstance(request, SolveRequest):
+                raise ConfigurationError(
+                    f"cached_results needs SolveRequest items, got "
+                    f"{request!r}"
+                )
+            key = request.cache_key
+            hit = self._results.get(key)
+            if hit is not None:
+                hit = self._served(key, hit, request)
+                hits += 1
+            found.append(hit)
+        self.stats._add(lookups=len(found), memory_hits=hits)
+        return found
+
     def _lookup(self, key: str, request: SolveRequest) -> SolveResult | None:
+        """:meth:`_probe`, counted in ``stats``."""
+        hit, tier = self._probe(key, request)
+        if hit is None:
+            self.stats._add(lookups=1)
+        else:
+            self.stats._add(lookups=1, **{tier: 1})
+        return hit
+
+    def _probe(
+        self, key: str, request: SolveRequest
+    ) -> tuple[SolveResult | None, str | None]:
+        """A cached result for ``request`` and the ``stats`` counter of
+        the tier that held it (``"memory_hits"``/``"disk_hits"``), or
+        ``(None, None)``.  Counts nothing."""
         hit = self._results.get(key)
         if hit is not None:
-            self.stats._add("memory_hits")
-            return self._served(key, hit, request)
+            return self._served(key, hit, request), "memory_hits"
         if self.disk is not None:
             payload = self.disk.load(key)
             if payload is not None:
@@ -745,14 +800,13 @@ class BatchSolver:
                             f"disk cache payload for {key!r} does not "
                             f"deserialize: {exc}"
                         ) from exc
-                    return None
-                self.stats._add("disk_hits")
+                    return None, None
                 # Stores the served copy: later hits copy nothing.
-                return self._served(key, result, request)
-        return None
+                return self._served(key, result, request), "disk_hits"
+        return None, None
 
     def _store(self, key: str, result: SolveResult) -> None:
-        self.stats._add("solves")
+        """Keep ``result`` (the caller counts it in ``stats.solves``)."""
         self._results.put(key, result)
         if self.disk is not None:
             self.disk.store(key, result.to_dict())
@@ -835,14 +889,13 @@ class BatchSolver:
             began = time.perf_counter()
             points = solution.read_points([m[1].dims for m in members])
             elapsed = (time.perf_counter() - began) / len(members)
+            solved_by = solution.method
             for (i, request, key), measures in zip(members, points):
-                result = SolveResult.from_measures(
-                    request, *measures, solved_by=solution.method,
-                    elapsed=elapsed,
+                result = SolveResult.from_grid_read(
+                    request, *measures, solved_by, elapsed
                 )
                 self._store(key, result)
                 results[i] = result
-            self.stats._add("grid_reads", len(members))
             grid_points += len(members)
         return grid_groups, grid_points, leftover
 

@@ -13,9 +13,10 @@ to:
 
 * **Idle worker** — the first ``submit`` arms a flush ``window``
   seconds out.  With the default window of 0 it fires on the next loop
-  turn, so every request submitted in the same turn (the members of
-  one ``/batch``, which the server starts in a single pass) shares the
-  flush and nothing waits on a timer.
+  turn, so every request submitted in the same turn shares the flush
+  and nothing waits on a timer.  A ``/batch`` hands its leading
+  members over in one :meth:`MicroBatcher.submit_many` entry: one
+  future for all of them, resolved once with their results.
 * **Busy worker** — while a flush computes, submits only accumulate;
   its completion re-arms the flush for everything pending.  Under load
   the batches grow on their own, one flush at a time.
@@ -62,19 +63,23 @@ class RequestExpiredError(ComputationError):
 
 
 class _Member(NamedTuple):
-    """One queued request."""
+    """One queue entry: a ``submit`` or a ``submit_many``."""
 
-    request: SolveRequest
+    requests: list[SolveRequest]
+    #: Resolves with the one result (``submit``) or the list of them.
     future: asyncio.Future
     #: Absolute ``time.monotonic()`` deadline, or None (unbounded).
     deadline: float | None
     #: ``time.monotonic()`` at ``submit``.
     queued_at: float
+    #: Whether ``future`` takes the list (``submit_many``).
+    many: bool
 
 
 class MicroBatcher:
     """Queues ``(request, future, deadline)`` entries and flushes them
-    together, one flush at a time."""
+    together, one flush at a time.  ``max_batch`` and ``queue_depth``
+    count requests, not entries."""
 
     def __init__(
         self,
@@ -93,6 +98,8 @@ class MicroBatcher:
         #: (``submit`` to its runner starting).
         self._wait_observer = wait_observer
         self._pending: list[_Member] = []
+        #: Requests in ``_pending``.
+        self._pending_requests = 0
         self._timer: asyncio.TimerHandle | None = None
         self._flushing: asyncio.Task | None = None
         self._flush_began: float | None = None
@@ -130,14 +137,34 @@ class MicroBatcher:
         engine runs non-strict); only infrastructure errors — the
         runner itself raising, twice — surface as future exceptions.
         """
+        self._queue(_Member([request], future, deadline, time.monotonic(),
+                            False))
+
+    def submit_many(
+        self,
+        requests: list[SolveRequest],
+        future: asyncio.Future,
+        deadline: float | None = None,
+    ) -> None:
+        """Queue several requests as one entry: ``future`` resolves with
+        their results, in order, in one step.
+
+        The requests share the deadline and ride in the same flush; a
+        ``/batch`` submits its leading members this way, so the loop
+        wakes once for them, not once per member.  Otherwise as
+        :meth:`submit`.
+        """
+        self._queue(_Member(requests, future, deadline, time.monotonic(),
+                            True))
+
+    def _queue(self, member: _Member) -> None:
         if self._closed:
-            future.set_exception(
+            member.future.set_exception(
                 BatcherClosedError("service is shutting down")
             )
             return
-        self._pending.append(
-            _Member(request, future, deadline, time.monotonic())
-        )
+        self._pending.append(member)
+        self._pending_requests += len(member.requests)
         self._arm()
 
     def _arm(self) -> None:
@@ -150,7 +177,7 @@ class MicroBatcher:
         """
         if self._closed or self._flushing is not None or not self._pending:
             return
-        if len(self._pending) >= self.max_batch:
+        if self._pending_requests >= self.max_batch:
             self._start_flush()
         elif self._timer is None:
             self._timer = asyncio.get_running_loop().call_later(
@@ -173,7 +200,7 @@ class MicroBatcher:
     @property
     def queue_depth(self) -> int:
         """Requests waiting for the next flush (pressure signal)."""
-        return len(self._pending)
+        return self._pending_requests
 
     @property
     def worker_lag(self) -> float:
@@ -196,8 +223,17 @@ class MicroBatcher:
         self._cancel_timer()
         if self._flushing is not None or not self._pending:
             return
-        batch = self._pending[:self.max_batch]
-        del self._pending[:self.max_batch]
+        # Whole entries up to max_batch requests (at least one entry:
+        # a larger submit_many is never split).
+        taken = size = 0
+        for member in self._pending:
+            if taken and size + len(member.requests) > self.max_batch:
+                break
+            taken += 1
+            size += len(member.requests)
+        batch = self._pending[:taken]
+        del self._pending[:taken]
+        self._pending_requests -= size
         self._flush_began = time.monotonic()
         self._flushing = asyncio.get_running_loop().create_task(
             self._flush(batch)
@@ -231,7 +267,8 @@ class MicroBatcher:
             loop.call_soon_threadsafe(self._expire, expired)
         if not live:
             return live, [], now
-        return live, self._runner([member.request for member in live]), now
+        requests = [r for member in live for r in member.requests]
+        return live, self._runner(requests), now
 
     def _expire(self, members: list[_Member]) -> None:
         self.expired_requests += len(members)
@@ -274,14 +311,21 @@ class MicroBatcher:
         if not served:
             return
         self.flush_count += 1
-        self.batched_requests += len(served)
+        self.batched_requests += len(results)
         if self._observer is not None:
-            self._observer(len(served), time.perf_counter() - began)
-        for member, result in zip(served, results):
+            self._observer(len(results), time.perf_counter() - began)
+        at = 0
+        for member in served:
+            count = len(member.requests)
             if self._wait_observer is not None:
-                self._wait_observer(started - member.queued_at)
+                waited = started - member.queued_at
+                for _ in range(count):
+                    self._wait_observer(waited)
             if not member.future.done():
-                member.future.set_result(result)
+                member.future.set_result(
+                    results[at:at + count] if member.many else results[at]
+                )
+            at += count
 
     def _respawn_executor(self) -> None:
         self.worker_respawns += 1
@@ -301,6 +345,7 @@ class MicroBatcher:
         self._closed = True
         self._cancel_timer()
         pending, self._pending = self._pending, []
+        self._pending_requests = 0
         for member in pending:
             if not member.future.done():
                 member.future.set_exception(

@@ -73,7 +73,7 @@ from .httpio import (
     read_request,
     write_response,
 )
-from .protocol import decode_request, decode_request_list, new_request_id
+from .protocol import decode_first_request, decode_request, new_request_id
 from .server import (
     _MEMO_CAP,
     ServiceHandle,
@@ -635,25 +635,30 @@ class ClusterSupervisor:
 
         A ``/batch`` routes by its first member's key (documented in
         docs/service.md) — the single-flight contract only needs
-        per-key affinity for ``/solve``-shaped work.  Unparseable
+        per-key affinity for ``/solve``-shaped work — so only that
+        member is decoded; the worker validates the rest.  Unparseable
         bodies route to shard 0, whose worker produces the canonical
-        400 envelope.
+        400 envelope.  Only ``/solve`` routes are memoized: a sweep body
+        is ~25 times a point's and rarely repeats.
         """
-        memo = self._route_cache.get(body)
-        if memo is not None:
-            return memo
+        batch = path == "/batch"
+        if not batch:
+            memo = self._route_cache.get(body)
+            if memo is not None:
+                return memo
         try:
             payload = json.loads(body.decode("utf-8"))
-            if path == "/batch":
-                key = decode_request_list(payload)[0].cache_key
-            else:
-                key = decode_request(payload).cache_key
-            preference = self.ring.preference(key)
+            request = (
+                decode_first_request(payload) if batch
+                else decode_request(payload)
+            )
+            preference = self.ring.preference(request.cache_key)
         except Exception:  # noqa: BLE001 - worker owns error reporting
             preference = tuple(range(self.cluster.workers))
-        if len(self._route_cache) >= _MEMO_CAP:
-            self._route_cache.clear()
-        self._route_cache[body] = preference
+        if not batch:
+            if len(self._route_cache) >= _MEMO_CAP:
+                self._route_cache.clear()
+            self._route_cache[body] = preference
         return preference
 
     async def _handle_connection(

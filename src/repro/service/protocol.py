@@ -25,17 +25,23 @@ Wire envelopes
 * degraded: under brownout (:mod:`repro.service.brownout`) a served
   result may be marked ``"degraded": true`` plus a
   ``"degraded_stage"`` and provenance — byte identity is only
-  promised for envelopes *without* the marker.
+  promised for envelopes *without* the marker;
+* batch: ``{"id", "results": [...], "failed", "coalesced",
+  "admission_weight", "elapsed_ms"}`` — :func:`encode_batch` splices it
+  from per-result fragments, byte for byte what ``json.dumps`` gives.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
+from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from ..api import SolveRequest, SolveResult
+from ..api import RESULT_SCHEMA_VERSION, SolveRequest, SolveResult
 from ..core.state import SwitchDimensions
 from ..engine import FailedResult, TaskAttempt
 from ..exceptions import ConfigurationError
@@ -44,9 +50,11 @@ from ..methods import SolveMethod
 __all__ = [
     "decode_deadline_ms",
     "decode_failed",
+    "decode_first_request",
     "decode_request",
     "decode_request_list",
     "decode_result",
+    "encode_batch",
     "encode_failed",
     "encode_result",
     "new_request_id",
@@ -112,16 +120,13 @@ def decode_request_list(payload: Any) -> list[SolveRequest]:
     A sweep repeats one traffic mix on every record, so a record whose
     raw ``classes`` list equals the previous record's reuses that
     record's decoded class tuple (and with it the memoized mix part of
-    the cache key) instead of decoding the list again.  Its dims and
-    method are still parsed and validated, with the messages
+    the cache key) instead of decoding the list again: it costs a dims
+    parse, and the request is built without re-validating the classes
+    (:meth:`~repro.api.SolveRequest.with_dims`).  Its dims and method
+    are still parsed and validated, with the messages
     :func:`decode_request` would give.
     """
-    if isinstance(payload, dict):
-        payload = payload.get("requests")
-    if not isinstance(payload, list) or not payload:
-        raise ConfigurationError(
-            "batch payload needs a non-empty 'requests' list"
-        )
+    payload = _batch_records(payload)
     requests: list[SolveRequest] = []
     previous: SolveRequest | None = None
     previous_mix: Any = None
@@ -133,7 +138,8 @@ def decode_request_list(payload: Any) -> list[SolveRequest]:
             previous is not None
             and loose_slots is not None
             and mix == previous_mix
-            and all(repr(mix[i][k]) == r for i, k, r in loose_slots)
+            and (not loose_slots
+                 or all(repr(mix[i][k]) == r for i, k, r in loose_slots))
         ):
             # Derive from the latest record: the mix key travels along.
             previous = _decode_on_mix(record, previous)
@@ -142,6 +148,22 @@ def decode_request_list(payload: Any) -> list[SolveRequest]:
             previous_mix, loose_slots = mix, _loose_slots(mix)
         requests.append(previous)
     return requests
+
+
+def decode_first_request(payload: Any) -> SolveRequest:
+    """The first member of a batch body, as :func:`decode_request_list`
+    decodes it; the later members are not looked at."""
+    return decode_request(_batch_records(payload)[0])
+
+
+def _batch_records(payload: Any) -> list:
+    if isinstance(payload, dict):
+        payload = payload.get("requests")
+    if not isinstance(payload, list) or not payload:
+        raise ConfigurationError(
+            "batch payload needs a non-empty 'requests' list"
+        )
+    return payload
 
 
 def _loose_slots(mix: list) -> list[tuple[int, str, str]] | None:
@@ -186,6 +208,87 @@ def encode_result(result: SolveResult) -> dict:
     record = result.to_dict()
     record["from_cache"] = result.from_cache
     return record
+
+
+def encode_batch(request_id: str, items: Sequence[Any], tail: dict) -> bytes:
+    """The ``/batch`` reply, byte for byte
+    ``json.dumps({"id": request_id, "results": records, **tail})``.
+
+    ``items`` are :class:`~repro.api.SolveResult` (recorded as
+    :func:`encode_result` does), :class:`~repro.engine.FailedResult`
+    (:func:`encode_failed` plus ``"failed": true``) or ready record
+    dicts.  A result's record is formatted directly, and the class list
+    of each distinct request mix is serialized once, not once per point.
+    """
+    classes_json: dict[int, str] = {}
+    records = []
+    for item in items:
+        if isinstance(item, SolveResult):
+            records.append(_result_record(item, classes_json))
+        elif isinstance(item, FailedResult):
+            records.append(json.dumps(encode_failed(item) | {"failed": True}))
+        else:
+            records.append(json.dumps(item))
+    rest = json.dumps(tail)[1:] if tail else "}"
+    return (
+        f'{{"id": {_text(request_id)}, "results": [{", ".join(records)}]'
+        f'{", " if tail else ""}{rest}'
+    ).encode("utf-8")
+
+
+def _result_record(result: SolveResult, classes_json: dict[int, str]) -> str:
+    """``json.dumps(encode_result(result))``, formatted directly."""
+    request = result.request
+    classes = classes_json.get(id(request.classes))
+    if classes is None:
+        from ..io import class_to_dict
+
+        classes = json.dumps([class_to_dict(c) for c in request.classes])
+        classes_json[id(request.classes)] = classes
+    dims = request.dims
+    return (
+        f'{{"schema": {_number(RESULT_SCHEMA_VERSION)}, "request": '
+        f'{{"n1": {_number(dims.n1)}, "n2": {_number(dims.n2)}, '
+        f'"method": {_text(request.method.value)}, "classes": {classes}}}, '
+        f'"blocking": {_floats(result.blocking)}, '
+        f'"concurrency": {_floats(result.concurrency)}, '
+        f'"acceptance": {_floats(result.acceptance)}, '
+        f'"throughput": {_floats(result.throughput)}, '
+        f'"revenue": {_number(result.revenue)}, '
+        f'"mean_occupancy": {_number(result.mean_occupancy)}, '
+        f'"utilization": {_number(result.utilization)}, '
+        f'"solved_by": {_text(result.solved_by)}, '
+        f'"from_cache": {"true" if result.from_cache else "false"}}}'
+    )
+
+
+# json.dumps renders a float with float.__repr__ unless it is nan or
+# +-inf (NaN, Infinity), and a str with encode_basestring_ascii; these
+# take that path for plain values and hand anything else to json.dumps.
+
+
+def _number(value: Any) -> str:
+    if type(value) is float:
+        text = float.__repr__(value)
+        if "n" not in text:  # "nan", "inf"
+            return text
+    elif type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _floats(values: Sequence[Any]) -> str:
+    try:
+        text = ", ".join(map(float.__repr__, values))
+    except TypeError:  # not all floats
+        return json.dumps(list(values))
+    return json.dumps(list(values)) if "n" in text else f"[{text}]"
+
+
+def _text(value: Any) -> str:
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
 
 
 def decode_result(record: dict) -> SolveResult:

@@ -65,6 +65,7 @@ from .protocol import (
     decode_deadline_ms,
     decode_request,
     decode_request_list,
+    encode_batch,
     encode_failed,
     encode_result,
     new_request_id,
@@ -855,12 +856,13 @@ class SolveService:
         if self.brownout.stale_only:
             return self._serve_stale_batch(request_id, requests)
         degraded = False
-        rewritten = []
-        for request in requests:
-            request, was_degraded = self._maybe_degrade(request)
-            degraded = degraded or was_degraded
-            rewritten.append(request)
-        requests = rewritten
+        if self.brownout.degrade_method:
+            rewritten = []
+            for request in requests:
+                request, was_degraded = self._maybe_degrade(request)
+                degraded = degraded or was_degraded
+                rewritten.append(request)
+            requests = rewritten
         deadline_at = (
             time.monotonic() + budget if budget is not None else None
         )
@@ -872,7 +874,9 @@ class SolveService:
         began = time.perf_counter()
         self.instruments._inflight_count += 1
         try:
-            outcomes = await self._execute_all(requests, deadline_at)
+            results, coalesced = await self._execute_all(
+                requests, deadline_at
+            )
             if self.config.min_hold > 0.0:
                 await asyncio.sleep(self.config.min_hold)
         except BatcherClosedError:
@@ -885,27 +889,18 @@ class SolveService:
             self.instruments._inflight_count -= 1
             self.gate.release(lease)
             self._note_hold(time.perf_counter() - began)
-        items = []
-        failures = coalesced_count = 0
-        for result, coalesced in outcomes:
-            coalesced_count += coalesced
-            if getattr(result, "failed", False):
-                failures += 1
-                self.instruments.solve_failures.inc()
-                items.append(encode_failed(result) | {"failed": True})
-            else:
-                items.append(encode_result(result))
-        reply = {
-            "id": request_id,
-            "results": items,
+        failures = sum(1 for r in results if getattr(r, "failed", False))
+        if failures:
+            self.instruments.solve_failures.inc(failures)
+        tail = {
             "failed": failures,
-            "coalesced": coalesced_count,
+            "coalesced": coalesced,
             "admission_weight": lease.weight,
             "elapsed_ms": (time.perf_counter() - began) * 1e3,
         }
         if degraded:
-            self._stamp_degraded(reply)
-        return _Reply(200, reply)
+            self._stamp_degraded(tail)
+        return _Reply(200, encode_batch(request_id, results, tail))
 
     def _bad_request(self, request_id: str, message: str) -> _Reply:
         return _Reply(400, {
@@ -996,17 +991,15 @@ class SolveService:
                     ),
                 })
             else:
-                items.append(encode_result(hit))
-        reply = {
-            "id": request_id,
-            "results": items,
+                items.append(hit)
+        tail = {
             "failed": failures,
             "coalesced": 0,
             "admission_weight": 0,
             "elapsed_ms": 0.0,
         }
-        self._stamp_degraded(reply)
-        return _Reply(200, reply)
+        self._stamp_degraded(tail)
+        return _Reply(200, encode_batch(request_id, items, tail))
 
     def _deadline_exceeded(
         self, request_id: str, budget: float | None, phase: str
@@ -1102,9 +1095,8 @@ class SolveService:
         """Serve ``request`` from memory, or join or lead its flight.
 
         Returns ``(result, None, False)`` for a fast-path hit and
-        ``(None, flight, coalesced)`` otherwise.  Synchronous: a caller
-        can start many requests in one loop turn, so a ``/batch``'s
-        misses share one flush.
+        ``(None, flight, coalesced)`` otherwise.  A ``/batch`` starts
+        its members together in :meth:`_execute_all`.
         """
         # Cache-hot requests never leave the event loop: a pure
         # in-memory lookup (no disk, no lock, no thread hop) serves the
@@ -1160,38 +1152,63 @@ class SolveService:
         self,
         requests: list[SolveRequest],
         deadline_at: float | None,
-    ) -> list[tuple[Any, bool]]:
-        """:meth:`_execute` for every member of a ``/batch``, in order.
+    ) -> tuple[list[Any], int]:
+        """:meth:`_execute` for every member of a ``/batch``: their
+        results in order, and how many coalesced.
 
-        One synchronous pass starts every member on the connection task
-        (no task per member), then one ``asyncio.wait`` covers all of
-        their flights under the request's deadline.  The first failed
-        member, in request order, raises; a timeout leaves shared
-        flights running for their other waiters.
+        What a member costs is its lookup and its share of the reply;
+        the rest is paid once per batch.  One synchronous pass on the
+        connection task (no task per member) serves the cache hits;
+        the misses then join flights in progress and lead the rest
+        together (:meth:`SingleFlight.start_many`): one shared flight,
+        one batcher entry, one wake-up when the flush resolves it.  One
+        ``asyncio.wait`` covers the flights under the request's
+        deadline.  The first failed member, in request order, raises; a
+        timeout leaves shared flights running for their other waiters.
         """
-        started = [self._start(r, deadline_at) for r in requests]
-        flights = {future for _, future, _ in started if future is not None}
-        if flights:
-            timeout = None
-            if deadline_at is not None:
-                timeout = deadline_at - time.monotonic()
-                if timeout <= 0:
-                    raise asyncio.TimeoutError
-            done, pending = await asyncio.wait(
-                flights, timeout=timeout,
-                return_when=asyncio.FIRST_EXCEPTION,
-            )
-            for _, future, _ in started:
-                if (future in done and not future.cancelled()
-                        and future.exception() is not None):
-                    raise future.exception()
-            if pending:
+        results: list[Any] = self.engine.cached_results(requests)
+        misses = [i for i, hit in enumerate(results) if hit is None]
+        if len(misses) < len(requests):
+            self.instruments.fast_path_hits.inc(len(requests) - len(misses))
+        if not misses:
+            return results, 0
+        flight, sources = self.flights.start_many(
+            [requests[i].cache_key for i in misses],
+            asyncio.get_running_loop(),
+        )
+        coalesced = sum(1 for _, _, joined in sources if joined)
+        if coalesced:
+            self.instruments.coalesce_hits.inc(coalesced)
+        if flight is not None:
+            # Every waiter may have given up (504) before the flight fails.
+            flight.add_done_callback(_retrieve_exception)
+            leaders = [
+                requests[i]
+                for i, (_, _, joined) in zip(misses, sources) if not joined
+            ]
+            self.instruments.coalesce_leaders.inc(len(leaders))
+            self.batcher.submit_many(leaders, flight, deadline_at)
+        timeout = None
+        if deadline_at is not None:
+            timeout = deadline_at - time.monotonic()
+            if timeout <= 0:
                 raise asyncio.TimeoutError
-        return [
-            (hit, False) if future is None
-            else (readdressed(future.result(), request), coalesced)
-            for request, (hit, future, coalesced) in zip(requests, started)
-        ]
+        done, pending = await asyncio.wait(
+            {future for future, _, _ in sources}, timeout=timeout,
+            return_when=asyncio.FIRST_EXCEPTION,
+        )
+        for future, _, _ in sources:
+            if (future in done and not future.cancelled()
+                    and future.exception() is not None):
+                raise future.exception()
+        if pending:
+            raise asyncio.TimeoutError
+        for i, (future, slot, _) in zip(misses, sources):
+            result = future.result()
+            if slot is not None:
+                result = result[slot]
+            results[i] = readdressed(result, requests[i])
+        return results, coalesced
 
     @staticmethod
     async def _await_flight(

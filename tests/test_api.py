@@ -129,6 +129,46 @@ class TestSolveResult:
         assert result.utilization == solution.utilization()
         assert result.total_throughput == solution.total_throughput()
 
+    def test_grid_read_results_are_plain_results(self, classes):
+        """Built without ``__post_init__``, a grid read's result equals
+        the validated one field for field, and saves exactly the three
+        tuples ``__post_init__`` converts: the instance itself keeps the
+        normal attribute layout (a materialized ``__dict__`` grows it)."""
+        import sys
+        import tracemalloc
+
+        top = SwitchDimensions.square(12)
+        solution = solve_convolution(top, classes)
+        base = SolveRequest(top, classes)
+        requests = [base.with_dims(n) for n in range(1, 13)] * 40
+        points = solution.read_points([r.dims for r in requests])
+
+        def build(make) -> tuple[list[SolveResult], int]:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                built = [make(r, *m) for r, m in zip(requests, points)]
+                return built, tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        def validated(r, *m):
+            return SolveResult.from_measures(
+                r, *m, solved_by="convolution/log", elapsed=0.5
+            )
+
+        _, first_bytes = build(validated)
+        read, read_bytes = build(lambda r, *m: SolveResult.from_grid_read(
+            r, *m, "convolution/log", 0.5))
+        checked, checked_bytes = build(validated)
+        # A class whose instances lost the shared layout grows them all.
+        assert checked_bytes <= first_bytes * 1.02
+        converted = 3 * sys.getsizeof(points[0][0]) * len(requests)
+        assert read_bytes <= checked_bytes - converted
+        assert read == checked
+        for got, want in zip(read, checked):
+            assert vars(got) == vars(want)
+
     def test_derived_measures(self, classes):
         result = solve(SolveRequest.square(6, classes))
         for r in range(len(classes)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -293,6 +294,30 @@ class TestServedCopies:
         assert engine.cached_result(request, memory_only=True) is first
         assert engine.stats.disk_hits == 1
         assert count_copies == ["SolveResult"]
+
+    def test_hit_for_renamed_classes_carries_the_callers_names(
+        self, classes
+    ):
+        """Names are outside the key and outside request equality, but
+        they are part of the answer: a hit for a renamed mix is a copy
+        carrying the caller's request, with the stored measures."""
+        engine = fresh_engine()
+        stored = SolveRequest.square(6, classes)
+        renamed = SolveRequest.square(6, tuple(
+            dataclasses.replace(c, name=name)
+            for c, name in zip(classes, ("x", "y"))
+        ))
+        first = engine.solve(stored)
+        hit = engine.solve(renamed)
+        assert [c.name for c in hit.request.classes] == ["x", "y"]
+        assert hit.request is renamed and hit.from_cache
+        assert_hex_equal(hit, first)
+        assert engine.cached_result(renamed, memory_only=True).request \
+            is renamed
+        # The stored names still get the one served copy.
+        served = engine.cached_result(stored)
+        assert engine.solve(stored) is served
+        assert [c.name for c in served.request.classes] == ["data", "video"]
 
     def test_cross_order_hit_leaves_the_stored_copy_in_place(
         self, classes

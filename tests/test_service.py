@@ -12,6 +12,7 @@ it on the paper's own Table 1 configurations.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import gc
 import json
 import threading
@@ -22,9 +23,9 @@ import pytest
 
 pytestmark = pytest.mark.service  # spins up the solve-serving daemon
 
-from repro.api import SolveRequest, solve, solve_many
+from repro.api import SolveRequest, SolveResult, solve, solve_many
 from repro.core.traffic import TrafficClass
-from repro.engine import BatchSolver, EngineConfig, readdressed
+from repro.engine import BatchSolver, EngineConfig, FailedResult, readdressed
 from repro.exceptions import ConfigurationError
 from repro.methods import SolveMethod
 from repro.service import (
@@ -38,10 +39,13 @@ from repro.service import (
     SolveService,
     start_in_thread,
 )
+from repro.service.brownout import STAGE_CHEAP_METHOD, STAGE_STALE_CACHE
+from repro.service.httpio import HttpRequest
 from repro.service.protocol import (
     decode_request,
     decode_request_list,
     decode_result,
+    encode_failed,
     encode_result,
     new_request_id,
 )
@@ -151,6 +155,12 @@ def sweep_requests(sizes=range(1, 33), rate: float = 0.013) -> list[SolveRequest
 
 async def post_raw(port: int, path: str, payload: dict) -> tuple[int, dict]:
     """One HTTP/1.1 POST over a fresh loopback connection."""
+    status, body = await post_bytes(port, path, payload)
+    return status, json.loads(body)
+
+
+async def post_bytes(port: int, path: str, payload: dict) -> tuple[int, bytes]:
+    """:func:`post_raw`, returning the reply body as sent."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     body = json.dumps(payload).encode()
     writer.write(
@@ -164,9 +174,9 @@ async def post_raw(port: int, path: str, payload: dict) -> tuple[int, dict]:
         for line in head.split(b"\r\n")
         if line.lower().startswith(b"content-length:")
     )
-    reply = json.loads(await reader.readexactly(length))
+    body = await reader.readexactly(length)
     writer.close()
-    return int(head.split()[1]), reply
+    return int(head.split()[1]), body
 
 
 def test_full_memos_are_refilled_not_frozen(monkeypatch):
@@ -563,6 +573,217 @@ def test_flight_failure_after_an_early_504_is_still_retrieved(path):
     assert unretrieved == []
 
 
+def test_cache_hit_for_renamed_classes_is_answered_with_its_names():
+    """Class names are outside the key: a hit for a mix that differs
+    only by names is served the stored measures under its own names."""
+    forward = data_video_mix()
+    renamed = renamed_classes(forward, "x", "y")
+    with start_in_thread(
+        ServiceConfig(port=0), engine=BatchSolver(EngineConfig())
+    ) as handle:
+        first, hit = post_in_turn(handle.port, [forward, renamed])
+    assert hit["from_cache"] is True
+    names = [c["name"] for c in hit["result"]["request"]["classes"]]
+    assert names == ["x", "y"]
+    assert_byte_identical(
+        decode_result(hit["result"]), decode_result(first["result"])
+    )
+
+
+def renamed_classes(request: SolveRequest, *names: str) -> SolveRequest:
+    return SolveRequest(request.dims, tuple(
+        dataclasses.replace(c, name=name)
+        for c, name in zip(request.classes, names)
+    ), request.method)
+
+
+def test_solve_joins_a_batch_members_flight_and_gets_its_own_bytes():
+    """A /solve arriving while a /batch member's flight is open joins
+    that member (the batch leads all its members with one future) and
+    is answered in its own class order."""
+    members = [SolveRequest.square(n, data_video_mix().classes)
+               for n in (5, 6, 7)]
+    joiner = SolveRequest.square(6, data_video_mix(reverse=True).classes)
+    # The wide window keeps the batch's flight open for the /solve.
+    with start_in_thread(
+        ServiceConfig(port=0, batch_window=0.5),
+        engine=BatchSolver(EngineConfig()),
+    ) as handle:
+        remote_client = ServiceClient(*handle.address)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            led = pool.submit(
+                remote_client._roundtrip, "POST", "/batch",
+                {"requests": [r.to_dict() for r in members]},
+            )
+            deadline = time.monotonic() + 5.0
+            while not len(handle.service.flights):
+                assert time.monotonic() < deadline, "batch never led"
+                time.sleep(0.005)
+            status, joined = remote_client._roundtrip(
+                "POST", "/solve", {"request": joiner.to_dict()}
+            )
+            batch_status, batch = led.result(timeout=10.0)
+        assert handle.service.flights.hits == 1
+    assert (status, batch_status) == (200, 200)
+    assert joined["coalesced"] is True and batch["coalesced"] == 0
+    assert json.dumps(joined["result"]) == json.dumps(
+        readdressed_locally(members[1], joiner)
+    )
+    assert joined["result"]["blocking"] == \
+        batch["results"][1]["blocking"][::-1]
+    for request, record in zip(members, batch["results"]):
+        assert_byte_identical(
+            decode_result(record),
+            solve(request, engine=BatchSolver(EngineConfig())),
+        )
+
+
+def test_batch_loop_work_does_not_grow_with_its_members():
+    """An all-miss /batch of 8 members and one of 32 schedule the same
+    number of loop callbacks: the members share one flight, one batcher
+    entry and one wake-up."""
+
+    async def callbacks(members: int) -> int:
+        service = SolveService(
+            ServiceConfig(port=0), engine=BatchSolver(EngineConfig())
+        )
+        requests = sweep_requests(range(1, members + 1),
+                                  rate=0.0101 + 1e-4 * members)
+        http = HttpRequest("POST", "/batch", "", {}, json.dumps(
+            {"requests": [r.to_dict() for r in requests]}
+        ).encode())
+        loop = asyncio.get_running_loop()
+        scheduled = 0
+
+        def counting(schedule):
+            def wrapper(*args, **kwargs):
+                nonlocal scheduled
+                scheduled += 1
+                return schedule(*args, **kwargs)
+            return wrapper
+
+        loop.call_soon = counting(loop.call_soon)
+        loop.call_soon_threadsafe = counting(loop.call_soon_threadsafe)
+        try:
+            reply = await service._route(http, "req-test")
+        finally:
+            del loop.call_soon, loop.call_soon_threadsafe
+            await service.batcher.close()
+        assert reply.status == 200
+        payload = json.loads(reply.payload)
+        assert payload["failed"] == 0 and len(payload["results"]) == members
+        assert service.engine.stats.snapshot()["solves"] == members
+        return scheduled
+
+    assert asyncio.run(callbacks(8)) == asyncio.run(callbacks(32))
+
+
+INADMISSIBLE = SolveRequest.square(400, (
+    TrafficClass(0.31, 0.2), TrafficClass(0.155, -0.01, a=2),
+))
+
+
+def parent_record(item) -> dict:
+    """One /batch record as the dict envelope carried it."""
+    if isinstance(item, SolveResult):
+        return encode_result(item)
+    if isinstance(item, FailedResult):
+        return encode_failed(item) | {"failed": True}
+    return item
+
+
+def _reversed_members() -> list[dict]:
+    forward = data_video_mix()
+    flipped = data_video_mix(reverse=True)
+    return [r.to_dict() for r in (
+        forward, forward.with_dims(6), flipped, flipped.with_dims(7),
+    )]
+
+
+def _renamed_members() -> list[dict]:
+    forward = data_video_mix()
+    other = renamed_classes(forward, "x", "y")
+    return [r.to_dict() for r in (
+        forward.with_dims(5), other.with_dims(5), other.with_dims(9),
+    )]
+
+
+def _signed_zero_members() -> list[dict]:
+    mix = [{"alpha": 0.01, "beta": -0.0, "name": "z"},
+           {"alpha": 0.004, "beta": 0.2, "a": 2, "name": "v"}]
+    return [{"n1": n, "n2": n, "classes": mix} for n in (4, 5, 6)]
+
+
+#: case -> (records, brownout stage or None, (failed, coalesced)).
+BATCH_REPLY_CASES = {
+    "two-mixes": (lambda: sweep_records((4, 5, 6)) + [
+        SolveRequest.square(n, data_video_mix().classes).to_dict()
+        for n in (5, 7)
+    ], None, (0, 0)),
+    "reversed-order": (_reversed_members, None, (0, 1)),
+    "renamed": (_renamed_members, None, (0, 1)),
+    "signed-zero": (_signed_zero_members, None, (0, 0)),
+    "failed-member": (
+        lambda: sweep_records((4, 5)) + [INADMISSIBLE.to_dict()],
+        None, (1, 0),
+    ),
+    "coalesced": (lambda: sweep_records((4, 5, 4)), None, (0, 1)),
+    "degraded": (lambda: sweep_records((4, 5, 6)), STAGE_CHEAP_METHOD,
+                 (0, 0)),
+    "stale-only": (lambda: sweep_records((4, 5)), STAGE_STALE_CACHE,
+                   (1, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_REPLY_CASES))
+def test_batch_reply_is_the_dict_envelope_byte_for_byte(monkeypatch, case):
+    """The spliced /batch body equals ``json.dumps`` of the dict
+    envelope built from ``encode_result``/``encode_failed`` records, with
+    the same id and elapsed_ms."""
+    import repro.service.server as server_module
+
+    records, stage, (failed, coalesced) = BATCH_REPLY_CASES[case]
+    records = records()
+    encoded: list[tuple[str, list, dict]] = []
+    real_encode = server_module.encode_batch
+
+    def spy(request_id, items, tail):
+        encoded.append((request_id, list(items), dict(tail)))
+        return real_encode(request_id, items, tail)
+
+    monkeypatch.setattr(server_module, "encode_batch", spy)
+
+    async def scenario() -> tuple[int, bytes]:
+        service = SolveService(
+            ServiceConfig(port=0, brownout=BrownoutConfig(enabled=False)),
+            engine=BatchSolver(EngineConfig()),
+        )
+        await service.start()
+        try:
+            if stage == STAGE_STALE_CACHE:  # one member is cached
+                await post_raw(service.port, "/solve",
+                               {"request": records[0]})
+            if stage is not None:
+                service.brownout.force_stage(stage)
+            return await post_bytes(
+                service.port, "/batch", {"requests": records}
+            )
+        finally:
+            await service.stop()
+
+    status, body = asyncio.run(scenario())
+    assert status == 200
+    (request_id, items, tail), = encoded
+    assert body == json.dumps({
+        "id": request_id,
+        "results": [parent_record(item) for item in items],
+        **tail,
+    }).encode()
+    reply = json.loads(body)
+    assert (reply["failed"], reply["coalesced"]) == (failed, coalesced)
+    assert reply.get("degraded", False) is (stage is not None)
+
+
 def test_concurrent_identical_requests_coalesce_and_stay_identical():
     """Racing identical requests share one computation, byte-identically.
 
@@ -956,6 +1177,34 @@ def test_singleflight_evicts_on_failure_too():
         await asyncio.sleep(0)
         assert len(flights) == 0
         future.exception()  # consume so the loop does not warn
+
+    asyncio.run(scenario())
+
+
+def test_singleflight_start_many_leads_new_keys_with_one_flight():
+    async def scenario() -> None:
+        flights = SingleFlight()
+        loop = asyncio.get_running_loop()
+        solo = flights.lead("a", loop)
+        flight, sources = flights.start_many(["a", "b", "c", "b"], loop)
+        assert sources == [
+            (solo, None, True), (flight, 0, False), (flight, 1, False),
+            (flight, 0, True),
+        ]
+        assert (flights.hits, flights.leaders, len(flights)) == (2, 3, 3)
+        joined = flights.join("c")  # a /solve joining a batch member
+        flight.set_result(["B", "C"])
+        assert await joined == "C"
+        assert len(flights) == 1  # only "a" is still in flight
+        failing, _ = flights.start_many(["d"], loop)
+        late = flights.join("d")
+        failing.set_exception(RuntimeError("boom"))
+        with pytest.raises(RuntimeError):
+            await late
+        failing.exception()
+        solo.set_result("A")
+        await asyncio.sleep(0)
+        assert len(flights) == 0
 
     asyncio.run(scenario())
 

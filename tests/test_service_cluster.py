@@ -31,6 +31,7 @@ pytestmark = pytest.mark.service  # spawns worker processes
 
 from repro.api import SolveRequest, solve
 from repro.core.traffic import TrafficClass
+from repro.exceptions import ConfigurationError
 from repro.service import (
     ClusterConfig,
     ServiceClient,
@@ -331,3 +332,78 @@ def test_full_route_memo_is_refilled_not_frozen(monkeypatch):
     assert first == supervisor.ring.preference(REQUESTS[0].cache_key)
     assert decoded == [1]  # the second sighting hit the memo
     assert list(supervisor._route_cache) == [body]
+
+
+def sweep_body(index: int, sizes=(4, 5, 6, 7), reverse: bool = False) -> bytes:
+    """A /batch body: one fresh two-class mix over ``sizes``."""
+    classes = [
+        TrafficClass.poisson(0.001 + 0.0001 * index, name="data"),
+        TrafficClass(alpha=0.0005, beta=0.0002, a=2, name="video"),
+    ]
+    if reverse:
+        classes.reverse()
+    return json.dumps({"requests": [
+        SolveRequest.square(n, classes).to_dict() for n in sizes
+    ]}).encode()
+
+
+def test_batch_routes_are_not_memoized(cluster):
+    """A sweep body is ~25 times a point's and rarely repeats: 40
+    distinct sweeps through the router leave none in its route memo."""
+    handle, _ = cluster
+    client = ServiceClient(*handle.address)
+    for index in range(40):
+        requests = [
+            SolveRequest.from_dict(record)
+            for record in json.loads(sweep_body(index))["requests"]
+        ]
+        for request, result in zip(requests, client.solve_many(requests)):
+            assert result == solve(request)
+    memo = handle.supervisor._route_cache
+    assert not [body for body in memo if b'"requests"' in body]
+
+
+def test_batch_routes_by_its_first_member_as_before():
+    """Routing decodes only the first member, and lands where decoding
+    the whole batch and taking its first member's key did."""
+    from repro.service.cluster import ClusterSupervisor
+    from repro.service.protocol import decode_request_list
+
+    supervisor = ClusterSupervisor(
+        ServiceConfig(port=0, cluster=ClusterConfig(workers=4))
+    )
+    bodies = [sweep_body(i) for i in range(24)] + [
+        sweep_body(i, sizes=(9, 4), reverse=True) for i in range(24)
+    ]
+    for body in bodies:
+        first = decode_request_list(json.loads(body))[0]
+        assert supervisor._shard_for_body("/batch", body) == \
+            supervisor.ring.preference(first.cache_key)
+    assert supervisor._route_cache == {}
+
+
+def test_batch_with_a_malformed_later_member_gets_the_worker_400(cluster):
+    from repro.service.protocol import decode_request
+
+    handle, _ = cluster
+    records = json.loads(sweep_body(99))["requests"]
+    bad = {k: v for k, v in records[-1].items() if k != "n2"}
+    with pytest.raises(ConfigurationError) as alone:
+        decode_request(bad)
+    connection = HTTPConnection(*handle.address, timeout=30.0)
+    try:
+        connection.request(
+            "POST", "/batch",
+            body=json.dumps({"requests": records + [bad]}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        payload = json.loads(response.read().decode())
+        shard = response.getheader("X-Shard")
+    finally:
+        connection.close()
+    assert response.status == 400
+    assert shard is not None  # answered by a worker, not the router
+    assert payload["error"] == {
+        "kind": "bad_request", "message": str(alone.value),
+    }

@@ -17,6 +17,11 @@ second small-gate daemon), and asserts:
   ``/batch`` capacity sweeps (one fresh Poisson + Pascal mix each, one
   shared Q-grid on the server) is byte-equal on the wire to an
   independent point solve of that member.
+* **A mixed batch is its in-process encoding** — a ``/batch`` of two
+  mixes, a reversed-class-order member and a member that fails to solve
+  is, byte for byte, the reply envelope built from ``encode_result`` /
+  ``encode_failed`` of ``solve_many`` on the same requests (the reply's
+  id, timings and admission weight taken as sent).
 * **Coalescing happened** — nonzero coalesce hits (the workload
   guarantees racing identical requests).
 * **Results kept, not grids** — after the drill (its sweeps solved
@@ -33,14 +38,16 @@ Exit code 0 on success, 1 on any violation.  CI runs this under
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from http.client import HTTPConnection
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import SolveRequest, solve  # noqa: E402
+from repro.api import SolveRequest, solve, solve_many  # noqa: E402
 from repro.core.traffic import TrafficClass  # noqa: E402
 from repro.engine import BatchSolver, EngineConfig  # noqa: E402
 from repro.service import (  # noqa: E402
@@ -49,7 +56,10 @@ from repro.service import (  # noqa: E402
     ServiceConfig,
     start_in_thread,
 )
-from repro.service.protocol import encode_result  # noqa: E402
+from repro.service.protocol import (  # noqa: E402
+    encode_failed,
+    encode_result,
+)
 
 POINT_SIZES = (4, 5, 6, 8, 10, 12)
 REPEAT_FANOUT = 10  # concurrent callers per hot request
@@ -111,6 +121,68 @@ def sweep_mismatches(client: ServiceClient, index: int) -> list[str]:
             solve(request, engine=BatchSolver(EngineConfig()))
         ))
     ]
+
+
+def mixed_batch_requests() -> list[SolveRequest]:
+    """Two fresh mixes, a member of the first in reversed class order,
+    and a member whose solve fails (non-integer Bernoulli sources)."""
+    first = [
+        TrafficClass.poisson(0.0041, name="data"),
+        TrafficClass(alpha=0.0013, beta=0.21, mu=1.0, a=2, name="video"),
+    ]
+    second = [TrafficClass(alpha=0.02, beta=-0.001, name="voice")]
+    failing = SolveRequest.square(400, (
+        TrafficClass(0.31, 0.2), TrafficClass(0.155, -0.01, a=2),
+    ))
+    return [
+        SolveRequest.square(5, first),
+        SolveRequest.square(7, second),
+        SolveRequest.square(6, first[::-1]),
+        failing,
+        SolveRequest.square(9, first),
+        SolveRequest.square(4, second),
+    ]
+
+
+def mixed_batch_mismatches(address: tuple[str, int]) -> list[str]:
+    """The wire bytes of a mixed ``/batch`` against its in-process
+    encoding: ``encode_result``/``encode_failed`` of ``solve_many``."""
+    requests = mixed_batch_requests()
+    connection = HTTPConnection(*address, timeout=30.0)
+    try:
+        connection.request(
+            "POST", "/batch",
+            body=json.dumps({"requests": [r.to_dict() for r in requests]}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        status, raw = response.status, response.read()
+    finally:
+        connection.close()
+    if status != 200:
+        return [f"mixed batch: HTTP {status}"]
+    reply = json.loads(raw)
+    records = []
+    local = solve_many(requests, engine=BatchSolver(EngineConfig()))
+    for result, sent in zip(local, reply["results"]):
+        if getattr(result, "failed", False):
+            # Attempt timings are wall clock, not results: take the sent.
+            result = dataclasses.replace(result, attempts=tuple(
+                dataclasses.replace(attempt, elapsed=record["elapsed"])
+                for attempt, record in zip(result.attempts, sent["attempts"])
+            ))
+            records.append(encode_failed(result) | {"failed": True})
+        else:
+            records.append(encode_result(result))
+    want = json.dumps({
+        "id": reply["id"],
+        "results": records,
+        "failed": 1,
+        "coalesced": 0,
+        "admission_weight": reply["admission_weight"],
+        "elapsed_ms": reply["elapsed_ms"],
+    }).encode()
+    return [] if raw == want else ["mixed batch bytes"]
 
 
 def check(condition: bool, label: str, failures: list[str]) -> None:
@@ -181,6 +253,10 @@ def main() -> int:
     check(not sweep_bad,
           f"{SWEEP_MIXES} 32-point sweeps byte-equal to point solves "
           f"({len(sweep_bad)} mismatches)", failures)
+    mixed_bad = mixed_batch_mismatches(handle.address)
+    check(not mixed_bad,
+          "mixed /batch (two mixes, reversed order, a failed member) "
+          f"byte-equal to its in-process encoding ({mixed_bad})", failures)
     hits = handle.service.flights.hits
     check(hits > 0, f"nonzero coalesce hits ({hits})", failures)
     check(handle.service.gate.in_use == 0,
