@@ -10,16 +10,21 @@ live on in :mod:`repro.verify.reference` as the differential oracle
 that the equivalence suite compares them with.
 
 ``sweep_log``
-    Bitwise-identical restructuring of the reference log sweep.  The
+    Byte-identical restructuring of the reference log sweep.  The
     sweep only ever sees classes with ``beta >= 0`` (smooth classes are
     folded in afterwards — see the convolution module's stability note),
     so every signed-log term is non-negative and the generic masked
-    ``signed_log_add`` collapses to the positive-domain max-shift update
-    ``top + log(exp(a - top) + exp(b - top))``.  That expression performs
-    the *same float64 operations in the same order* as the reference
-    helper does on non-negative operands, so the resulting ``log Q``
-    grid is bit-for-bit equal — not merely close — which the
-    equivalence suite asserts.
+    ``signed_log_add`` collapses to the max/min log-add
+    ``top + log(1 + exp(low - top))`` with ``top = max(x, y)`` and
+    ``low = min(x, y)``: seven ufunc calls performing the reference's
+    own float64 arithmetic (``exp(0) == 1.0`` exactly, and IEEE
+    addition commutes).  A class of bandwidth ``a`` adds only zeros to
+    the rows below ``a``, so only ``acc[a:]`` is accumulated and the
+    rows below keep the reference's copied bytes.  ``V`` is written in
+    place from views of the grids, with no shifted copies.  The
+    resulting ``log Q`` grid is byte-for-byte equal to the oracle's —
+    the sign of a zero included — which the equivalence suite asserts
+    with ``tobytes()``.
 ``sweep_float``
     The raw unscaled recurrence with preallocated buffers and in-place
     ufuncs, preserving the reference operation order exactly (bitwise
@@ -81,33 +86,6 @@ def scaled_fallback_count() -> int:
     return _SCALED_FALLBACKS
 
 
-def _class_constants(
-    classes: Sequence[TrafficClass],
-) -> list[tuple[int, int, bool, float | None, float]]:
-    """Hoist the per-class scalars the column loops need.
-
-    Returns ``(r, a, is_poisson, log_factor, log_b)`` per class where
-    ``log_factor = log(a * rho)`` (``None`` when the factor is zero, in
-    which case the class contributes nothing — same guard as the
-    reference) and ``log_b = log(b)`` for bursty classes.  The logs are
-    taken with ``np.log`` exactly as ``signed_log_scale`` does, so the
-    shifted additions reproduce the reference bit for bit.
-    """
-    info = []
-    for r, cls in enumerate(classes):
-        factor = cls.a * cls.rho
-        info.append(
-            (
-                r,
-                cls.a,
-                cls.is_poisson,
-                float(np.log(abs(factor))) if factor > 0.0 else None,
-                float(np.log(abs(cls.b))) if cls.is_bursty else 0.0,
-            )
-        )
-    return info
-
-
 # ----------------------------------------------------------------------
 # Log-domain sweep (bitwise-identical to the reference log sweep)
 # ----------------------------------------------------------------------
@@ -122,14 +100,23 @@ def sweep_log(
 
     ``classes`` must already exclude smooth (``beta < 0``) classes —
     the caller folds those separately — so every term is non-negative
-    and the positive-domain log-add below is bitwise-equivalent to the
-    reference's ``signed_log_add``: pairwise ``top + log(exp(a - top)
-    + exp(b - top))`` performs the same float64 operations in the same
-    order (IEEE addition is commutative, so operand order inside the
-    sum is free), the one-side-zero branch coincides with
-    ``exp(-inf) = 0`` and ``log(1) = 0``, and the both-zero branch is
-    an explicit ``-inf`` patch of the rows below the class bandwidth —
-    the only cells where both operands can be the signed-log zero.
+    and the reference's ``signed_log_add`` of two non-zero terms is
+    ``top + log(exp(x - top) + exp(y - top))``.  One of the two
+    exponentials is ``exp(0) == 1.0`` exactly and IEEE addition
+    commutes, so the kernel's ``top + log(1 + exp(low - top))`` with
+    ``top = max(x, y)``, ``low = min(x, y)`` is the same float64
+    arithmetic.
+
+    A class of bandwidth ``a`` has only zero terms in the rows below
+    ``a``, where the reference copies the other operand; the kernel
+    leaves those rows untouched, so the copied accumulator keeps its
+    exact bytes — the sign of ``log Q(0, 1) = -0.0`` included.  In rows
+    ``>= a`` the ``Q`` source is finite, so the only zero operand left
+    is ``b V(n - aI)`` at the ``V`` boundary, where ``exp(-inf) = 0``
+    and ``log(1) = 0`` give the copied value (up to the sign of a zero
+    ``V`` cell, which ``V + log(a rho)`` erases before it reaches
+    ``Q``).  The ``log Q`` grid therefore equals the reference byte
+    for byte, and the equivalence suite compares ``tobytes()``.
 
     With ``collect_v=True`` returns ``(lq, lv)`` where ``lv`` maps the
     index of each bursty class to its full ``log V(n, r)`` grid (eq. 9)
@@ -141,70 +128,75 @@ def sweep_log(
     # column ``n2 = col``, contiguous in memory for the inner ufuncs.
     lq_t = np.full((n2 + 1, rows), NEG_INF)
     lq_t[0] = -np.array([math.lgamma(m + 1) for m in range(rows)])
-    info = _class_constants(classes)
     lv_t = {
         r: np.full((n2 + 1, rows), NEG_INF)
         for r, c in enumerate(classes)
         if c.is_bursty
     }
 
-    acc = np.empty(rows)
-    vsh = np.empty(rows)
-    work = np.empty(rows)
-    top = np.empty(rows)
-    scratch = np.empty(rows)
-    # One shared shifted-Q buffer per distinct bandwidth: classes with
-    # equal ``a`` read the same shifted source column.
-    qsh = {a: np.full(rows, NEG_INF) for _, a, _, _, _ in info}
+    # Scalar operands are 0-d arrays: NumPy dispatches a Python float
+    # operand markedly slower.  The logs are ``np.log`` of the factors,
+    # as in ``signed_log_scale``, and ``math.log`` of the column.
+    one = np.array(1.0)
+    log_cols = np.array([math.log(col) for col in range(1, n2 + 1)])
+    top_buf, low_buf, work_buf = np.empty((3, rows))
+    steps = []
+    for r, cls in enumerate(classes):
+        a = cls.a
+        if a >= rows:
+            # Every term of the class is zero: its V grid stays -inf
+            # and it adds nothing to any accumulator.
+            continue
+        factor = a * cls.rho
+        # A zero-rate class adds nothing (the reference's factor == 0
+        # guard), but its V chain still advances.
+        log_factor = np.array(np.log(factor)) if factor > 0.0 else None
+        # Column views of the rows a class reaches: ``q_head[col - a]``
+        # is ``Q(n - aI)`` for rows ``n1 >= a`` of column ``col``, and
+        # ``acc_tail[col]`` (``v_tail[col]``) is that column's rows
+        # ``>= a`` of Q (V), written in place.
+        m = rows - a
+        lv = lv_t.get(r)
+        v_step = None
+        if lv is not None:
+            v_step = (np.array(np.log(cls.b)), lv[:, :m], lv[:, a:])
+        steps.append(
+            (a, log_factor, v_step, lq_t[:, :m], lq_t[:, a:],
+             top_buf[:m], low_buf[:m], work_buf[:m])
+        )
 
-    def posadd(dst: np.ndarray, other: np.ndarray, dead_below: int = 0) -> None:
-        # dst = log(exp(dst) + exp(other)) with -inf as signed-log zero.
-        # Rows below ``dead_below`` are the only cells where both
-        # operands can be -inf (the (-inf) - (-inf) shift yields NaN
-        # there); they are patched back to the signed-log zero exactly
-        # as the reference's "both zero" mask does.
-        np.maximum(dst, other, out=top)
-        np.subtract(dst, top, out=scratch)
-        np.exp(scratch, out=scratch)
-        np.subtract(other, top, out=dst)
-        np.exp(dst, out=dst)
-        dst += scratch
-        np.log(dst, out=dst)
-        dst += top
-        if dead_below:
-            dst[:dead_below] = NEG_INF
+    def logadd(x, y, out, top, low):
+        # out = log(exp(x) + exp(y)), both operands finite or y = -inf.
+        np.maximum(x, y, out=top)
+        np.minimum(x, y, out=low)
+        np.subtract(low, top, out=low)
+        np.exp(low, out=low)
+        np.add(low, one, out=low)
+        np.log(low, out=low)
+        np.add(top, low, out=out)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         for col in range(1, n2 + 1):
+            acc = lq_t[col]
             np.copyto(acc, lq_t[col - 1])
-            shifted: set[int] = set()
-            for r, a, is_poisson, log_factor, log_b in info:
-                if col < a or a >= rows:
-                    # Every source term is the signed-log zero: the V
-                    # column stays -inf (its initial value) and adding
-                    # a zero term leaves the accumulator bitwise
-                    # unchanged (the reference's one-side-zero copy).
-                    continue
-                src = qsh[a]
-                if a not in shifted:
-                    np.copyto(src[a:], lq_t[col - a][: rows - a])
-                    shifted.add(a)
-                if is_poisson:
-                    term = src
-                else:
-                    vsh[:a] = NEG_INF
-                    np.copyto(vsh[a:], lv_t[r][col - a][: rows - a])
-                    vsh += log_b
-                    posadd(vsh, src, dead_below=a)
-                    lv_t[r][col] = vsh
-                    term = vsh
+            for a, log_factor, v_step, q_head, acc_tail, top, low, work in (
+                steps
+            ):
+                if col < a:
+                    continue  # every source term is zero
+                term = q = q_head[col - a]
+                if v_step is not None:
+                    # eq. 9: V(n) = Q(n - aI) + b V(n - aI), in place.
+                    log_b, v_head, v_tail = v_step
+                    term = v_tail[col]
+                    np.add(v_head[col - a], log_b, out=work)
+                    logadd(q, work, term, top, low)
                 if log_factor is None:
-                    # Zero arrival rate: the reference skips the
-                    # accumulate (factor == 0 guard) after advancing V.
                     continue
                 np.add(term, log_factor, out=work)
-                posadd(acc, work)
-            np.subtract(acc, math.log(col), out=lq_t[col])
+                tail = acc_tail[col]
+                logadd(tail, work, tail, top, low)
+            np.subtract(acc, log_cols[col - 1, ...], out=acc)
     # Sweep classes have beta >= 0, so every term is non-negative and Q
     # stays strictly positive; a non-finite cell means the parameters
     # admit a negative rate (the reference's per-column sign check).

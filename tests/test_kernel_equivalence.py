@@ -5,17 +5,21 @@ Every production solve runs the whole-column NumPy kernels in
 on in :mod:`repro.verify.reference` as the oracle.  The contract,
 enforced here:
 
-* ``log`` and ``float`` modes are **bitwise identical** to the oracle
-  sweeps (``np.array_equal`` on the full grids, matching exception
-  behavior at the float-mode overflow boundary);
+* ``log`` and ``float`` modes are **byte identical** to the oracle
+  sweeps (dtype, shape and ``tobytes()`` of the full grids, so the
+  sign of a zero counts; matching exception behavior at the float-mode
+  overflow boundary), the log sweep also on the edge shapes of its
+  column loop, in at most 26 NumPy calls per column on the benchmark
+  mix;
 * ``scaled`` is tolerance-equivalent on the fast path and falls back
   to the NumPy log sweep — bit for bit — when a column's dynamic range
   leaves float64 (the ``1/n1!`` cliff past ``n1 ~ 178``);
 * the vectorized MVA agrees with the scalar oracle to its registered
   1e-8 differential tolerance;
 * the eq. 9 auxiliary recursion ``V(n, r) = Q(n - a_r I) + b_r
-  V(n - a_r I, r)`` holds pointwise against direct scalar evaluation
-  (hypothesis property, profiles from ``tests/conftest.py``);
+  V(n - a_r I, r)`` holds pointwise for every bursty class
+  (hypothesis property, profiles from ``tests/conftest.py``, and the
+  seeded edge shapes);
 * the ``repro.verify`` fuzzer finds **zero** production-vs-oracle
   disagreements over seeded sampled configs per numeric mode, and a
   deliberately broken kernel is caught *and shrunk* to a minimal JSON
@@ -39,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +93,45 @@ def sweep_classes_of(config):
     return [c for c in config.classes if c.beta >= 0]
 
 
+def assert_bytes_equal(ref, new, context=""):
+    """Byte equality of two grids: ``np.array_equal`` would take
+    ``-0.0 == +0.0`` (and is blind to dtype)."""
+    assert ref.dtype == new.dtype, context
+    assert ref.shape == new.shape, context
+    if ref.tobytes() != new.tobytes():
+        differ = np.argwhere(ref.view(np.uint64) != new.view(np.uint64))
+        cells = [
+            (tuple(int(i) for i in idx), float(ref[tuple(idx)]),
+             float(new[tuple(idx)]))
+            for idx in differ[:5]
+        ]
+        raise AssertionError(f"{context}: bytes differ at {cells}")
+
+
+def assert_eq9(lq, lv, classes):
+    """``V(n, r) = Q(n - a_r I) + b_r V(n - a_r I, r)`` pointwise (eq. 9)
+    for every bursty class, with ``V == 0`` whenever any coordinate of
+    ``n - a_r I`` is negative, against direct scalar float evaluation."""
+    assert set(lv) == {r for r, c in enumerate(classes) if c.is_bursty}
+    Q = np.where(np.isfinite(lq), np.exp(lq), 0.0)
+    n1, n2 = lq.shape[0] - 1, lq.shape[1] - 1
+    for r, log_v in lv.items():
+        cls = classes[r]
+        a = cls.a
+        V = np.where(np.isfinite(log_v), np.exp(log_v), 0.0)
+        for m1 in range(n1 + 1):
+            for m2 in range(n2 + 1):
+                inside = m1 >= a and m2 >= a
+                q_shift = float(Q[m1 - a, m2 - a]) if inside else 0.0
+                v_shift = float(V[m1 - a, m2 - a]) if inside else 0.0
+                want = q_shift + cls.b * v_shift
+                got = float(V[m1, m2])
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0), (
+                    f"eq. 9 violated for class {r} at ({m1}, {m2}): "
+                    f"{got!r} != {want!r}"
+                )
+
+
 # ----------------------------------------------------------------------
 # Differential fuzz: zero production-vs-oracle mismatches per mode
 # ----------------------------------------------------------------------
@@ -120,9 +164,167 @@ def test_sweep_log_bitwise_equal_to_reference():
             continue
         ref = reference.sweep_log(config.dims, sweep)
         new = sweep_log(config.dims, sweep)
-        assert np.array_equal(ref, new), config.describe()
+        assert_bytes_equal(ref, new, config.describe())
         checked += 1
     assert checked >= 40
+
+
+def test_sweep_log_keeps_the_sign_of_log_q_0_1():
+    """``log Q(0, 1)`` is ``-lgamma(1) - log(1) == -0.0``: no class of
+    bandwidth >= 1 reaches row 0, so the reference copies the
+    accumulator there and the kernel must leave it untouched."""
+    dims = SwitchDimensions(3, 3)
+    classes = [TrafficClass.poisson(0.1)]
+    ref = reference.sweep_log(dims, classes)
+    new = sweep_log(dims, classes)
+    assert math.copysign(1.0, float(ref[0, 1])) == -1.0
+    assert float(new[0, 1]).hex() == "-0x0.0p+0"
+    assert_bytes_equal(ref, new, "3x3, one Poisson class")
+
+
+def _bursty(rng, a, alpha=None):
+    mu = rng.uniform(0.5, 2.0)
+    return TrafficClass(
+        alpha=rng.uniform(0.001, 0.5) if alpha is None else alpha,
+        beta=rng.uniform(0.01, 0.9) * mu,
+        mu=mu,
+        a=a,
+    )
+
+
+def _edge_wide_class(rng):
+    n1 = rng.randint(0, 6)
+    dims = SwitchDimensions(n1, rng.randint(0, 10))
+    return dims, [
+        _bursty(rng, a=n1 + 1 + rng.randint(0, 2)),
+        TrafficClass.poisson(rng.uniform(0.01, 0.4)),
+    ]
+
+
+def _edge_zero_rate_bursty(rng):
+    dims = SwitchDimensions(rng.randint(1, 10), rng.randint(1, 10))
+    return dims, [
+        _bursty(rng, a=rng.randint(1, 3), alpha=0.0),
+        TrafficClass.poisson(rng.uniform(0.01, 0.4)),
+    ]
+
+
+def _edge_two_bursty_widths(rng):
+    dims = SwitchDimensions(rng.randint(1, 12), rng.randint(1, 12))
+    a1, a2 = rng.sample((1, 2, 3, 5), 2)
+    return dims, [_bursty(rng, a=a1), _bursty(rng, a=a2)]
+
+
+def _edge_rectangular(rng):
+    n1, n2 = rng.sample(range(1, 14), 2)
+    return SwitchDimensions(n1, n2), [
+        TrafficClass.poisson(rng.uniform(0.01, 0.4), a=rng.randint(1, 2)),
+        _bursty(rng, a=rng.randint(1, 3)),
+    ]
+
+
+def _edge_empty_axis(rng):
+    side = rng.randint(0, 8)
+    dims = (
+        SwitchDimensions(0, side)
+        if rng.random() < 0.5
+        else SwitchDimensions(side, 0)
+    )
+    return dims, [
+        TrafficClass.poisson(rng.uniform(0.01, 0.4)),
+        _bursty(rng, a=rng.randint(1, 2)),
+    ]
+
+
+#: The edge shapes of the log sweep's column loop, each a function of
+#: a seeded ``random.Random`` returning ``(dims, sweep classes)``.
+EDGE_SHAPES = {
+    "a-beyond-n1": _edge_wide_class,
+    "zero-rate-bursty": _edge_zero_rate_bursty,
+    "two-bursty-widths": _edge_two_bursty_widths,
+    "n1-ne-n2": _edge_rectangular,
+    "empty-axis": _edge_empty_axis,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+def test_sweep_log_edge_shapes_byte_equal_and_satisfy_eq9(shape):
+    """Each edge shape of the column loop: ``log Q`` bytes equal the
+    oracle's and every ``collect_v`` grid satisfies eq. 9."""
+    for index in range(max(FUZZ_CASES // 5, 20)):
+        rng = random.Random(f"edge:{shape}:{index}")
+        dims, classes = EDGE_SHAPES[shape](rng)
+        context = f"{shape} #{index}: {dims}, {classes}"
+        lq, lv = sweep_log(dims, classes, collect_v=True)
+        assert_bytes_equal(reference.sweep_log(dims, classes), lq, context)
+        assert_bytes_equal(sweep_log(dims, classes), lq, context)
+        assert_eq9(lq, lv, classes)
+
+
+class _CountingNumPy:
+    """Stand-in for the kernel module's ``np``: arrays it creates count
+    every ufunc, array function and item assignment applied to them."""
+
+    def __init__(self):
+        self.calls = 0
+        counter = self
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                counter.calls += 1
+                plain = [
+                    x.view(np.ndarray) if isinstance(x, Counted) else x
+                    for x in inputs
+                ]
+                out = kwargs.get("out")
+                if out is not None:
+                    kwargs["out"] = tuple(
+                        o.view(np.ndarray) if isinstance(o, Counted) else o
+                        for o in out
+                    )
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                return out[0] if out is not None else result
+
+            def __array_function__(self, func, types, args, kwargs):
+                counter.calls += 1
+                return super().__array_function__(func, types, args, kwargs)
+
+            def __setitem__(self, key, value):
+                counter.calls += 1
+                super().__setitem__(key, value)
+
+        self._counted = Counted
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name in ("array", "full", "empty", "zeros", "ones"):
+            return lambda *a, **k: attr(*a, **k).view(self._counted)
+        return attr
+
+
+def test_sweep_log_numpy_calls_per_column(monkeypatch):
+    """The benchmark mix (Poisson ``a = 1`` plus Pascal ``a = 2``) costs
+    at most 26 NumPy operations per column: the column copy and
+    normalization, one term and one 7-call log-add for the Poisson
+    class, one eq. 9 step (8 calls) plus one term and log-add for the
+    Pascal class."""
+    classes = [
+        TrafficClass.poisson(0.01),
+        TrafficClass(alpha=0.004, beta=0.3, a=2),
+    ]
+    counts = []
+    for n2 in (40, 41):
+        counting = _CountingNumPy()
+        monkeypatch.setattr(kernels, "np", counting)
+        lq = sweep_log(SwitchDimensions(66, n2), classes)
+        monkeypatch.setattr(kernels, "np", np)
+        counts.append(counting.calls)
+        assert_bytes_equal(
+            reference.sweep_log(SwitchDimensions(66, n2), classes),
+            lq.view(np.ndarray),
+            f"n2={n2}",
+        )
+    assert counts[1] - counts[0] <= 26, counts
 
 
 def test_sweep_float_bitwise_equal_including_overflow_boundary():
@@ -141,7 +343,7 @@ def test_sweep_float_bitwise_equal_including_overflow_boundary():
             new, new_err = None, str(exc)
         assert ref_err == new_err, config.describe()
         if ref is not None:
-            assert np.array_equal(ref, new), config.describe()
+            assert_bytes_equal(ref, new, config.describe())
         checked += 1
     assert checked >= 40
 
@@ -163,9 +365,9 @@ def test_full_solution_grids_bitwise_equal_log_mode():
             config.dims, config.classes, mode="log"
         )
         new = solve_convolution(config.dims, config.classes, mode="log")
-        assert np.array_equal(ref.log_q, new.log_q)
+        assert_bytes_equal(ref.log_q, new.log_q, config.describe())
         for r in range(len(config.classes)):
-            assert np.array_equal(ref.h[r], new.h[r])
+            assert_bytes_equal(ref.h[r], new.h[r], config.describe())
             assert ref.blocking(r).hex() == new.blocking(r).hex()
             assert ref.concurrency(r).hex() == new.concurrency(r).hex()
         assert ref.method == new.method == "convolution/log"
@@ -289,38 +491,34 @@ def test_empty_class_set_rejected_identically(mode, kernel):
 
 
 @given(
-    n1=st.integers(min_value=1, max_value=9),
-    n2=st.integers(min_value=1, max_value=9),
-    alpha=st.floats(min_value=1e-3, max_value=0.8),
-    b=st.floats(min_value=1e-3, max_value=0.6),
-    a=st.integers(min_value=1, max_value=3),
+    n1=st.integers(min_value=0, max_value=9),
+    n2=st.integers(min_value=0, max_value=9),
+    bursty=st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=0.8)),
+            st.floats(min_value=1e-3, max_value=0.6),
+            st.integers(min_value=1, max_value=5),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
     with_poisson=st.booleans(),
 )
-def test_vectorized_v_recursion_satisfies_eq9(
-    n1, n2, alpha, b, a, with_poisson
-):
-    """``V(n, r) = Q(n - a_r I) + b_r V(n - a_r I, r)`` pointwise (eq. 9),
-    with ``V == 0`` whenever any coordinate of ``n - a_r I`` is negative,
-    checked against direct scalar float evaluation."""
+def test_vectorized_v_recursion_satisfies_eq9(n1, n2, bursty, with_poisson):
+    """Eq. 9 holds pointwise for every bursty class — zero-rate ones,
+    ``a > n1`` and empty axes included — and the ``log Q`` bytes equal
+    the oracle's."""
     mu = 1.0
-    classes = [TrafficClass(alpha=alpha, beta=b * mu, mu=mu, a=a)]
+    classes = [
+        TrafficClass(alpha=alpha, beta=b * mu, mu=mu, a=a)
+        for alpha, b, a in bursty
+    ]
     if with_poisson:
         classes.append(TrafficClass.poisson(0.1))
     dims = SwitchDimensions(n1, n2)
     lq, lv = sweep_log(dims, classes, collect_v=True)
-    cls = classes[0]
-    V = np.where(np.isfinite(lv[0]), np.exp(lv[0]), 0.0)
-    Q = np.where(np.isfinite(lq), np.exp(lq), 0.0)
-    for m1 in range(n1 + 1):
-        for m2 in range(1, n2 + 1):
-            inside = m1 >= a and m2 >= a
-            q_shift = float(Q[m1 - a, m2 - a]) if inside else 0.0
-            v_shift = float(V[m1 - a, m2 - a]) if inside else 0.0
-            want = q_shift + cls.b * v_shift
-            got = float(V[m1, m2])
-            assert got == pytest.approx(want, rel=1e-9, abs=0.0), (
-                f"eq. 9 violated at ({m1}, {m2}): {got!r} != {want!r}"
-            )
+    assert_bytes_equal(reference.sweep_log(dims, classes), lq)
+    assert_eq9(lq, lv, classes)
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +555,7 @@ def test_engine_dispatch_routes_kernel_family():
     assert solution.kernel == "numpy"
     oracle = reference.solve_convolution(request.dims, classes)
     assert oracle.kernel == "python"
-    assert np.array_equal(solution.log_q, oracle.log_q)
+    assert_bytes_equal(oracle.log_q, solution.log_q)
     mva = engine.solution_for(request.with_method(SolveMethod.MVA))
     assert mva.method == "mva" and mva.kernel == "numpy"
 
