@@ -14,8 +14,9 @@ commit, interpreter, NumPy version, CPU count):
     sweep sizes (``python_p50_ms`` is the oracle, ``numpy_p50_ms`` the
     production kernel), plus the *headline* ratio: the pre-1.5 default
     path (``convolution/log`` on the python sweeps) against the fastest
-    production path (``convolution/scaled``).  The full run asserts the
-    headline speedup stays >= 10x.
+    production path (``convolution/scaled``), timed in alternating
+    pairs; its ``speedup`` is the median of the per-pair ratios.  The
+    full run asserts the headline speedup stays >= 10x.
 
 ``equivalence``
     The differential-fuzzer campaign from the acceptance criteria:
@@ -113,6 +114,31 @@ def _p50_ms(fn, repeats: int) -> float:
     return statistics.median(samples) * 1e3
 
 
+def _paired_p50_ms(slow, fast, repeats: int) -> tuple[float, float, float]:
+    """``slow`` and ``fast`` timed in alternating pairs: their p50s in
+    milliseconds and the median of the per-pair ``slow / fast`` ratios.
+
+    Each pair runs both sides back to back, the order flipping every
+    repeat, so a host that changes speed mid-run moves both sides of a
+    pair together and the ratio stays put.
+    """
+    slow()
+    fast()
+    slow_s, fast_s, ratios = [], [], []
+    for i in range(repeats):
+        pair = {}
+        for fn in ((slow, fast) if i % 2 == 0 else (fast, slow)):
+            began = time.perf_counter()
+            fn()
+            pair[fn] = time.perf_counter() - began
+        slow_s.append(pair[slow])
+        fast_s.append(pair[fast])
+        ratios.append(pair[slow] / pair[fast])
+    return (statistics.median(slow_s) * 1e3,
+            statistics.median(fast_s) * 1e3,
+            statistics.median(ratios))
+
+
 def bench_single_solve(sizes: tuple[int, ...], repeats: int) -> dict:
     """Matched oracle/production p50 per (mode, n), plus the headline."""
     cells = {}
@@ -128,8 +154,11 @@ def bench_single_solve(sizes: tuple[int, ...], repeats: int) -> dict:
                 "speedup": python_ms / numpy_ms,
             }
     n = max(sizes)
-    old_ms = _p50_ms(lambda: _solve("log", n, "python"), repeats)
-    new_ms = _p50_ms(lambda: _solve("scaled", n, "numpy"), repeats)
+    old_ms, new_ms, speedup = _paired_p50_ms(
+        lambda: _solve("log", n, "python"),
+        lambda: _solve("scaled", n, "numpy"),
+        repeats,
+    )
     return {
         "classes": len(CLASSES),
         "repeats": repeats,
@@ -138,7 +167,8 @@ def bench_single_solve(sizes: tuple[int, ...], repeats: int) -> dict:
             "n": n,
             "old_default_p50_ms": old_ms,
             "numpy_scaled_p50_ms": new_ms,
-            "speedup": old_ms / new_ms,
+            # The median of per-pair ratios, timed interleaved.
+            "speedup": speedup,
         },
     }
 

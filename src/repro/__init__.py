@@ -133,7 +133,7 @@ __getattr__, __dir__ = _lazy.lazy_exports(
 
 #: Version of last resort when the distribution metadata is absent
 #: (e.g. running from a source checkout via ``PYTHONPATH=src``).
-_FALLBACK_VERSION = "3.3.0"
+_FALLBACK_VERSION = "3.4.0"
 
 
 def _detect_version() -> str:

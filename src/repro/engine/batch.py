@@ -91,6 +91,19 @@ PARALLEL_THRESHOLD = 8
 #: Pool chunks per worker: each worker gets a few chunks of misses.
 CHUNKS_PER_WORKER = 4
 
+#: :meth:`BatchSolver.kernel_work` counts grid cells of one swept
+#: class (0.02 to 0.04 us each on a 2-vCPU host as its speed drifts).
+#: On top of its cells, a column step costs the NumPy dispatch of this
+#: many, one solve (validation, measure assembly, result build) this
+#: many, and each member read off a grid this many.  Sized from
+#: ``evaluate_many`` of single solves at n = 1..256, tall (2000 x 60,
+#: 8000 x 30) and wide (60 x 2000, 2 x 3000) switches, 64 tiny distinct
+#: mixes and 32- and 64-point sweeps, to the largest per-column and
+#: per-solve cost seen, so the estimate rarely falls short.
+WORK_PER_COLUMN = 512
+WORK_PER_SOLVE = 8192
+WORK_PER_MEMBER = 512
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -430,6 +443,71 @@ def readdressed(
     return result.reordered(perm, request)
 
 
+def _sweep_passes(classes: Sequence, capacity: int) -> int:
+    """Whole-sweep passes of one Algorithm 1 solve: one per class with
+    ``beta >= 0``, plus the fold passes of the smooth classes.
+
+    A smooth class folds in ``min(capacity // a, sources)`` passes
+    (:func:`repro.core.convolution._fold_log`), once into ``log Q``,
+    once into its concurrency grid and once into each other smooth
+    class's ``Q_rest``.
+    """
+    smooth = [c for c in classes if c.beta < 0]
+    folds = 0
+    for cls in smooth:
+        passes = capacity // cls.a
+        if cls.sources < passes:
+            passes = math.ceil(cls.sources)
+        folds += passes
+    return len(classes) - len(smooth) + folds * (len(smooth) + 1)
+
+
+def _solve_work(n1: int, n2: int, classes: Sequence) -> int:
+    """:meth:`BatchSolver.kernel_work` of one solve at ``n1 x n2``."""
+    passes = _sweep_passes(classes, min(n1, n2))
+    return WORK_PER_SOLVE + passes * (n2 + 1) * (n1 + 1 + WORK_PER_COLUMN)
+
+
+def _admissible(n1: int, n2: int, classes: Sequence) -> bool:
+    """Whether Algorithm 1's admissibility checks pass at ``n1 x n2``
+    (:func:`repro.core.convolution.solve_convolution` validates every
+    class that fits the switch)."""
+    capacity = min(n1, n2)
+    try:
+        for cls in classes:
+            if cls.a <= capacity:
+                cls.validate_for(n1, n2)
+    except CrossbarError:
+        return False
+    return True
+
+
+def _mix_groups(
+    requests: Sequence[SolveRequest],
+) -> tuple[list[list[int]], list[int]]:
+    """The grid groups of a batch of misses, and the rest.
+
+    Grid-method requests sharing (method, ordered class parameters) can
+    be served from one Algorithm 1 grid; returns their index lists, in
+    first-seen order, and the indices of the other requests.  Members
+    decoded from one sweep share their class tuple: its exact
+    parameters are rendered once, not once per member.
+    """
+    groups: dict[tuple, list[int]] = {}
+    rest: list[int] = []
+    params_of: dict[int, tuple] = {}
+    for i, request in enumerate(requests):
+        if request.method.is_grid:
+            params = params_of.get(id(request.classes))
+            if params is None:
+                params = tuple(class_params(c) for c in request.classes)
+                params_of[id(request.classes)] = params
+            groups.setdefault((request.method, params), []).append(i)
+        else:
+            rest.append(i)
+    return list(groups.values()), rest
+
+
 def _same_names(stored: Sequence, requested: Sequence) -> bool:
     return stored is requested or all(
         a.name == b.name for a, b in zip(stored, requested)
@@ -701,6 +779,41 @@ class BatchSolver:
             results[i] = result
         return failed
 
+    def kernel_work(self, requests: Sequence[SolveRequest]) -> int | None:
+        """An upper estimate of the Algorithm 1 work
+        :meth:`evaluate_many` would do for ``requests``, or None when
+        the batch may read or write the disk tier or run a solver
+        that is not a grid method.
+
+        Work is counted in grid cells of one swept class.  Each grid
+        group :meth:`evaluate_many` would form (:func:`_mix_groups`)
+        counts one solve at its componentwise-max dims: ``(n1 + 1) x
+        (n2 + 1)`` cells, plus :data:`WORK_PER_COLUMN` per column, per
+        sweep class and per fold pass of a smooth class (a whole-grid
+        NumPy pass, counted like a sweep class, which overstates it),
+        plus :data:`WORK_PER_SOLVE`.  A group whose max dims fail the
+        classes' admissibility check falls back to one solve per
+        member, and is counted so.  Each member adds
+        :data:`WORK_PER_MEMBER`.  Cache hits count as misses.  The
+        estimate is O(members): the daemon asks it on the event loop.
+        """
+        if self.disk is not None:
+            return None
+        groups, rest = _mix_groups(requests)
+        if rest:
+            return None
+        work = len(requests) * WORK_PER_MEMBER
+        for members in groups:
+            classes = requests[members[0]].classes
+            dims = [requests[i].dims for i in members]
+            n1 = max(d.n1 for d in dims)
+            n2 = max(d.n2 for d in dims)
+            if len(members) == 1 or _admissible(n1, n2, classes):
+                work += _solve_work(n1, n2, classes)
+            else:
+                work += sum(_solve_work(d.n1, d.n2, classes) for d in dims)
+        return work
+
     # ------------------------------------------------------------------
     # Cache bookkeeping
     # ------------------------------------------------------------------
@@ -846,24 +959,12 @@ class BatchSolver:
         group count, points served, and the misses left for individual
         solving.
         """
-        groups: dict[tuple, list[tuple[int, SolveRequest, str]]] = {}
-        leftover: list[tuple[int, SolveRequest, str]] = []
-        # Members decoded from one sweep share their class tuple: render
-        # its exact parameters once, not once per member.
-        params_of: dict[int, tuple] = {}
-        for item in misses:
-            _, request, _ = item
-            if request.method.is_grid:
-                params = params_of.get(id(request.classes))
-                if params is None:
-                    params = tuple(class_params(c) for c in request.classes)
-                    params_of[id(request.classes)] = params
-                groups.setdefault((request.method, params), []).append(item)
-            else:
-                leftover.append(item)
+        indices, rest = _mix_groups([miss[1] for miss in misses])
+        leftover = [misses[k] for k in rest]
 
         grid_groups = grid_points = 0
-        for members in groups.values():
+        for group in indices:
+            members = [misses[k] for k in group]
             if len(members) < 2:
                 leftover.extend(members)
                 continue

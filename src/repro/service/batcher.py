@@ -6,39 +6,53 @@ traffic inherits the engine's batch economics: size sweeps collapse onto
 one shared Algorithm 1 Q-grid, repeated keys are solved once, and every
 flush produces one :class:`~repro.engine.BatchMetrics`.
 
-The flush runner executes on a single dedicated worker thread (the
-engine is thread-safe, but serializing flushes keeps its metrics
-attribution exact), and the batcher waits only when there is a reason
-to:
+At most one flush is in flight (the engine is thread-safe, but
+serializing flushes keeps its metrics attribution exact), and the
+batcher waits only when there is a reason to:
 
-* **Idle worker** — the first ``submit`` arms a flush ``window``
+* **Idle batcher** — the first ``submit`` arms a flush ``window``
   seconds out.  With the default window of 0 it fires on the next loop
   turn, so every request submitted in the same turn shares the flush
   and nothing waits on a timer.  A ``/batch`` hands its leading
   members over in one :meth:`MicroBatcher.submit_many` entry: one
   future for all of them, resolved once with their results.
-* **Busy worker** — while a flush computes, submits only accumulate;
+* **Busy batcher** — while a flush computes, submits only accumulate;
   its completion re-arms the flush for everything pending.  Under load
   the batches grow on their own, one flush at a time.
 
 A positive ``window`` adds that fixed hold before each flush, and an
-idle worker flushes at once when ``max_batch`` requests are pending.
+idle batcher flushes at once when ``max_batch`` requests are pending.
+
+Where a flush runs
+------------------
+A runner may carry a ``short(requests) -> bool`` attribute.  When it
+says a batch is short, the flush runs inside its ``_flush`` task on the
+event loop; every other flush — and every flush of a runner that
+declares nothing — runs on one dedicated worker thread.  The thread
+earns its hop only for long flushes.  The interpreter hands the GIL
+between threads every switch interval (``sys.getswitchinterval()``,
+5 ms), so while a flush shorter than that computes on the worker the
+loop gets no turn it would not get anyway once the flush is done.  A
+longer flush on the worker leaves the loop answering health checks and
+cache hits meanwhile.  The worker executor is created when a long
+flush first needs it: a daemon that never sees one starts no thread.
 
 Resilience
 ----------
 * **Deadlines** — ``submit`` accepts an absolute ``deadline``
-  (``time.monotonic()`` instant).  Expiry is judged on the worker
-  thread the moment the runner starts: a member whose deadline has
-  passed by then (including one that waited behind a computing flush)
-  is dropped — its future resolves with :class:`RequestExpiredError`
-  instead of occupying a batch slot.  A runner that has started runs
-  to completion: a solve is never abandoned midway (the waiting
-  handler's own bounded await answers the client).
-* **Worker supervision** — a flush whose runner dies with an
+  (``time.monotonic()`` instant).  Expiry is judged the moment the
+  runner starts: a member whose deadline has passed by then (including
+  one that waited behind a computing flush) is dropped — its future
+  resolves with :class:`RequestExpiredError` instead of occupying a
+  batch slot.  A runner that has started runs to completion: a solve
+  is never abandoned midway (the waiting handler's own bounded await
+  answers the client).
+* **Runner supervision** — a flush whose runner dies with an
   infrastructure error (not a solver error: the engine runs non-strict
   and returns :class:`~repro.engine.FailedResult` envelopes for those)
-  gets one respawn-and-requeue: the worker executor is rebuilt and the
-  same batch rerun before the failure is relayed to callers.
+  is rerun once, minus the members already answered, before the
+  failure is relayed to callers.  On the worker path the worker
+  executor is rebuilt for the rerun.
 """
 
 from __future__ import annotations
@@ -79,7 +93,13 @@ class _Member(NamedTuple):
 class MicroBatcher:
     """Queues ``(request, future, deadline)`` entries and flushes them
     together, one flush at a time.  ``max_batch`` and ``queue_depth``
-    count requests, not entries."""
+    count requests, not entries.
+
+    ``runner`` maps a list of requests to their results.  It may carry
+    a ``short(requests) -> bool`` attribute, asked on the loop before
+    each flush: a short batch runs on the loop, anything else on the
+    worker thread (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -90,6 +110,7 @@ class MicroBatcher:
         observer: Callable[[int, float], None] | None = None,
         wait_observer: Callable[[float], None] | None = None,
     ) -> None:
+        #: The flush runner; read per flush, as is its ``short``.
         self._runner = runner
         self.window = max(0.0, float(window))
         self.max_batch = max(1, int(max_batch))
@@ -103,20 +124,24 @@ class MicroBatcher:
         self._timer: asyncio.TimerHandle | None = None
         self._flushing: asyncio.Task | None = None
         self._flush_began: float | None = None
-        self._executor = self._new_executor()
+        #: The worker thread, started by the first long flush.
+        self._executor: ThreadPoolExecutor | None = None
         self._closed = False
         self.flush_count = 0
+        #: Served flushes that ran on the event loop.
+        self.loop_flushes = 0
         self.batched_requests = 0
         #: Members dropped at runner start because their deadline passed.
         self.expired_requests = 0
         #: Times the worker executor was rebuilt after a runner death.
         self.worker_respawns = 0
 
-    @staticmethod
-    def _new_executor() -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service-flush"
-        )
+    def _worker(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-service-flush"
+            )
+        return self._executor
 
     # ------------------------------------------------------------------
 
@@ -171,7 +196,7 @@ class MicroBatcher:
         """Schedule a flush of the queue unless one is computing.
 
         A computing flush re-arms on completion, so submits made
-        meanwhile only accumulate.  An idle worker flushes ``window``
+        meanwhile only accumulate.  An idle batcher flushes ``window``
         seconds after the first submit, or at once when ``max_batch``
         requests are pending.
         """
@@ -248,9 +273,11 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     def _run(
-        self, batch: list[_Member], loop: asyncio.AbstractEventLoop
+        self, batch: list[_Member], loop: asyncio.AbstractEventLoop | None
     ) -> tuple[list[_Member], list[Any], float]:
-        """The worker thread's side of a flush: expire, then run.
+        """Expire, then run: on the worker thread, handing expiry to
+        ``loop``, or on the loop itself (``loop`` None), expiring at
+        once so that a rerun sees those members answered.
 
         Expiry is judged here, when the runner starts.  Returns the
         members served, their results and the runner's start instant.
@@ -264,7 +291,10 @@ class MicroBatcher:
             else:
                 live.append(member)
         if expired:
-            loop.call_soon_threadsafe(self._expire, expired)
+            if loop is None:
+                self._expire(expired)
+            else:
+                loop.call_soon_threadsafe(self._expire, expired)
         if not live:
             return live, [], now
         requests = [r for member in live for r in member.requests]
@@ -283,25 +313,30 @@ class MicroBatcher:
     async def _flush(self, batch: list[_Member]) -> None:
         loop = asyncio.get_running_loop()
         began = time.perf_counter()
+        short = getattr(self._runner, "short", None)
+        on_loop = short is not None and short(
+            [r for member in batch for r in member.requests]
+        )
         try:
-            served, results, started = await loop.run_in_executor(
-                self._executor, self._run, batch, loop
+            served, results, started = await self._attempt(
+                batch, loop, on_loop
             )
         except asyncio.CancelledError:  # pragma: no cover - loop teardown
             raise
         except BaseException as first:  # noqa: BLE001 - supervised below
             # The runner itself died (infrastructure, not a solver
-            # error).  Supervise: rebuild the worker executor and rerun
-            # this batch once — minus members already answered (expired
-            # at the first start) — before giving up.
+            # error).  Supervise: rerun this batch once — minus members
+            # already answered (expired at the first start) and, off the
+            # loop, on a rebuilt worker executor — before giving up.
             if self._closed:
                 self._relay_failure(batch, first)
                 return
-            self._respawn_executor()
+            if not on_loop:
+                self._respawn_executor()
             batch = [member for member in batch if not member.future.done()]
             try:
-                served, results, started = await loop.run_in_executor(
-                    self._executor, self._run, batch, loop
+                served, results, started = await self._attempt(
+                    batch, loop, on_loop
                 )
             except asyncio.CancelledError:  # pragma: no cover
                 raise
@@ -312,6 +347,8 @@ class MicroBatcher:
             return
         self.flush_count += 1
         self.batched_requests += len(results)
+        if on_loop:
+            self.loop_flushes += 1
         if self._observer is not None:
             self._observer(len(results), time.perf_counter() - began)
         at = 0
@@ -327,10 +364,24 @@ class MicroBatcher:
                 )
             at += count
 
+    async def _attempt(
+        self,
+        batch: list[_Member],
+        loop: asyncio.AbstractEventLoop,
+        on_loop: bool,
+    ) -> tuple[list[_Member], list[Any], float]:
+        """One run of ``batch``: here, or on the worker thread."""
+        if on_loop:
+            return self._run(batch, None)
+        return await loop.run_in_executor(
+            self._worker(), self._run, batch, loop
+        )
+
     def _respawn_executor(self) -> None:
         self.worker_respawns += 1
-        old, self._executor = self._executor, self._new_executor()
-        old.shutdown(wait=False)
+        old, self._executor = self._executor, None
+        if old is not None:
+            old.shutdown(wait=False)
 
     @staticmethod
     def _relay_failure(batch: list[_Member], exc: BaseException) -> None:
@@ -353,4 +404,5 @@ class MicroBatcher:
                 )
         if self._flushing is not None:
             await asyncio.gather(self._flushing, return_exceptions=True)
-        self._executor.shutdown(wait=False)
+        if self._executor is not None:
+            self._executor.shutdown(wait=False)

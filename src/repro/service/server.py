@@ -5,10 +5,11 @@ One event loop owns everything: connections are parsed by
 blocked-calls-cleared :class:`~repro.service.gate.AdmissionGate`,
 deduplicated by the :class:`~repro.service.coalesce.SingleFlight` map,
 and micro-batched by the :class:`~repro.service.batcher.MicroBatcher`
-into :meth:`~repro.engine.BatchSolver.evaluate_many` calls running on
-a dedicated worker thread.  The event loop itself never computes — it
-only routes — so the daemon stays responsive (and ``/metrics`` stays
-scrapeable) while the engine grinds through a cold sweep.
+into :meth:`~repro.engine.BatchSolver.evaluate_many` calls.  A batch
+estimated to compute within the interpreter's switch interval runs on
+the event loop; a longer one runs on a dedicated worker thread, so the
+daemon stays responsive (and ``/metrics`` stays scrapeable) while the
+engine grinds through a large cold solve.
 
 Endpoints
 ---------
@@ -79,6 +80,40 @@ logger = get_logger("service")
 #: Entries each per-process memo (decoded bodies, encoded results, the
 #: router's body -> shard map) holds before it is cleared and refilled.
 _MEMO_CAP = 4096
+
+#: The most :meth:`~repro.engine.BatchSolver.kernel_work` (grid cells
+#: of one swept class, fixed costs included) a flush may carry and
+#: still run on the event loop: 4.8 ms at 0.04 us per cell, the slow
+#: end of a 2-vCPU host's drift, under the 5 ms GIL switch interval.
+#: A 32-point sweep to n = 66 is 102162 cells, a four-request burst at
+#: n = 64 85250; two mixes at n = 64 (167428), 64 tiny mixes, a tall
+#: n1 = 20000, n2 = 60 switch and a three-class n = 900 solve are long.
+SHORT_FLUSH_WORK = 120_000
+
+
+class _EngineRunner:
+    """The daemon's flush runner: one serial engine batch.
+
+    Never a process pool: at the daemon's solve sizes forking one per
+    flush costs more than it saves, and it would fork a multi-threaded
+    process.  :meth:`short` tells the batcher which flushes may run on
+    the event loop.
+    """
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: BatchSolver) -> None:
+        self.engine = engine
+
+    def __call__(self, requests: list[SolveRequest]) -> list[Any]:
+        return self.engine.evaluate_many(
+            requests, parallel=False, strict=False
+        )
+
+    def short(self, requests: list[SolveRequest]) -> bool:
+        """Whether the batch is cheap enough to run on the loop."""
+        work = self.engine.kernel_work(requests)
+        return work is not None and work <= SHORT_FLUSH_WORK
 
 
 class _Connections(dict):
@@ -188,6 +223,12 @@ class _Instruments:
         self.batch_flushes = registry.counter(
             "repro_service_batch_flushes_total",
             "Micro-batch flushes into the engine.",
+        )
+        self.loop_flushes = registry.counter(
+            "repro_service_loop_flushes_total",
+            "Micro-batch flushes run on the event loop (estimated "
+            "shorter than the switch interval; the rest run on the "
+            "worker thread).",
         )
         self.batch_size = registry.histogram(
             "repro_service_batch_size",
@@ -361,6 +402,8 @@ class SolveService:
         self.flights = SingleFlight()
         self.registry = MetricsRegistry()
         self.instruments = _Instruments(self.registry, self.gate, self.engine)
+        #: The flush runner (a callable; tests wrap or replace it).
+        self._run_batch = _EngineRunner(self.engine)
         self.batcher = MicroBatcher(
             self._run_batch,
             window=self.config.batch_window,
@@ -737,6 +780,10 @@ class SolveService:
                 "hits": self.flights.hits,
                 "leaders": self.flights.leaders,
                 "in_flight": len(self.flights),
+            },
+            "batcher": {
+                "flushes": self.batcher.flush_count,
+                "loop_flushes": self.batcher.loop_flushes,
             },
             "engine": self.engine.stats.snapshot(),
         }
@@ -1224,20 +1271,13 @@ class SolveService:
         async with asyncio.timeout(remaining):
             return await shielded
 
-    def _run_batch(self, requests: list[SolveRequest]) -> list[Any]:
-        """The flush runner (worker thread): one serial engine batch.
-
-        Never a process pool: at the daemon's solve sizes forking one
-        per flush costs more than it saves, and it would fork a
-        multi-threaded process.
-        """
-        return self.engine.evaluate_many(
-            requests, parallel=False, strict=False
-        )
-
     def _observe_flush(self, batch_size: int, elapsed: float) -> None:
         self.instruments.batch_flushes.inc()
         self.instruments.batch_size.observe(float(batch_size))
+        # The batcher counts a loop flush before observing it.
+        loop_flushes = self.instruments.loop_flushes
+        if self.batcher.loop_flushes > loop_flushes.value():
+            loop_flushes.inc()
 
 
 def _retrieve_exception(flight: asyncio.Future) -> None:

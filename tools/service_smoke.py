@@ -24,6 +24,9 @@ second small-gate daemon), and asserts:
   id, timings and admission weight taken as sent).
 * **Coalescing happened** — nonzero coalesce hits (the workload
   guarantees racing identical requests).
+* **Both flush paths ran** — at least one short flush ran on the event
+  loop and at least one long flush (the mixed batch's n = 400 member)
+  on the worker thread, as ``/healthz`` and ``/metrics`` both count.
 * **Results kept, not grids** — after the drill (its sweeps solved
   four 32-point Q-grids) the daemon's engine holds zero solution
   objects, and ``/metrics`` says so.
@@ -265,6 +268,13 @@ def main() -> int:
     check("repro_service_requests_total" in page
           and "repro_engine_breaker_state" in page,
           "metrics page renders", failures)
+    flushes = client.health()["batcher"]
+    on_loop = flushes["loop_flushes"]
+    on_worker = flushes["flushes"] - on_loop
+    exported = client.metric_value("repro_service_loop_flushes_total")
+    check(on_loop >= 1 and on_worker >= 1 and exported == on_loop,
+          f"flushes ran on the loop ({on_loop}, /metrics {exported:g}) "
+          f"and on the worker ({on_worker})", failures)
     held = handle.service.engine.cache_entries()["solutions"]
     exported = client.metric_value(
         "repro_engine_cache_entries", cache="solutions"
