@@ -47,44 +47,30 @@ Package map
 * :mod:`repro.reporting` -- text tables and series for the benchmarks.
 
 Serving and load-generation names (``ServiceConfig``, ``ServiceClient``,
-``serve_cluster``, ``LoadSpec``, ...) are promoted to this namespace but
-imported lazily (PEP 562), and nothing imported eagerly reaches scipy or
-the analysis-only packages (``ctmc``, ``sim``, ``multistage``,
+``serve_cluster``, ``LoadSpec``, ...), the robust facade
+(``solve_robust``, ``FaultModel``, ...) and the analyses outside the
+default solve path (``solve_mva``, ``solve_exact``, ``revenue_report``,
+the moments, ...) are promoted to this namespace but imported lazily
+(PEP 562), and nothing imported eagerly reaches scipy or the
+analysis-only packages (``ctmc``, ``sim``, ``multistage``,
 ``workloads``, ``reporting``, ``verify``, ``extensions``): they load when
-first used.  So ``import repro`` costs numpy plus the solver core, and a
-serving process -- ``crossbar-repro serve``, or a fleet worker being
-respawned while its shard is out of service -- starts in a fraction of
-the time scipy alone takes to import.  ``tests/test_import_budget.py``
-holds that line.
+first used.  So ``import repro`` costs numpy plus the default solve
+path, and a serving process -- ``crossbar-repro serve``, or a fleet
+worker being respawned while its shard is out of service -- holds only
+the modules it serves with and starts in a fraction of the time scipy
+alone takes to import.  ``tests/test_import_budget.py`` holds that line.
 """
 
 from . import _lazy
 from .api import SolveRequest, SolveResult, solve, solve_many
 from .core import (
-    AsymptoticSolution,
     CrossbarModel,
     PerformanceSolution,
     StateDistribution,
     SwitchDimensions,
     TrafficClass,
-    carried_peakedness,
-    concurrency_covariance,
-    concurrency_variance,
-    factorial_moment,
-    occupancy_pmf,
-    occupancy_variance,
-    solve_asymptotic,
-    time_congestion,
-    gradient_burstiness,
-    gradient_rho,
-    gradient_rho_closed_form,
-    marginal_value,
-    revenue_report,
-    shadow_cost,
     solve_brute_force,
     solve_convolution,
-    solve_exact,
-    solve_mva,
 )
 from .exceptions import (
     ComputationError,
@@ -96,21 +82,38 @@ from .exceptions import (
     SimulationError,
 )
 from .methods import SolveMethod
-from .robust import (
-    FailureMask,
-    FaultModel,
-    NoHealthySolutionError,
-    PortFailureProcess,
-    RobustSolution,
-    SolverDiagnostics,
-    availability_weighted_measures,
-    solve_degraded,
-    solve_robust,
-)
 
-#: Serving / load-harness names promoted to the package namespace but
-#: resolved on first access (PEP 562), keeping ``import repro`` cheap.
+#: Names promoted to the package namespace but resolved on first access
+#: (PEP 562): the serving and load-harness names, the analyses outside
+#: the default solve path and the robust facade.  A serving process
+#: imports none of their modules.
 _LAZY_EXPORTS = {
+    "AsymptoticSolution": ".core",
+    "carried_peakedness": ".core",
+    "concurrency_covariance": ".core",
+    "concurrency_variance": ".core",
+    "factorial_moment": ".core",
+    "gradient_burstiness": ".core",
+    "gradient_rho": ".core",
+    "gradient_rho_closed_form": ".core",
+    "marginal_value": ".core",
+    "occupancy_pmf": ".core",
+    "occupancy_variance": ".core",
+    "revenue_report": ".core",
+    "shadow_cost": ".core",
+    "solve_asymptotic": ".core",
+    "solve_exact": ".core",
+    "solve_mva": ".core",
+    "time_congestion": ".core",
+    "FailureMask": ".robust",
+    "FaultModel": ".robust",
+    "NoHealthySolutionError": ".robust",
+    "PortFailureProcess": ".robust",
+    "RobustSolution": ".robust",
+    "SolverDiagnostics": ".robust",
+    "availability_weighted_measures": ".robust",
+    "solve_degraded": ".robust",
+    "solve_robust": ".robust",
     "ClusterConfig": ".service",
     "ClusterSupervisor": ".service",
     "LoadReport": ".loadgen",
@@ -133,7 +136,7 @@ __getattr__, __dir__ = _lazy.lazy_exports(
 
 #: Version of last resort when the distribution metadata is absent
 #: (e.g. running from a source checkout via ``PYTHONPATH=src``).
-_FALLBACK_VERSION = "3.4.0"
+_FALLBACK_VERSION = "3.5.0"
 
 
 def _detect_version() -> str:

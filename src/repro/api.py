@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any
 from .core.state import SwitchDimensions
 from .core.traffic import TrafficClass
 from .exceptions import ConfigurationError
+from .io import class_from_dict, class_to_dict
 from .methods import SolveMethod
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +69,7 @@ def _coerce_dims(dims: "SwitchDimensions | tuple[int, int] | int") -> SwitchDime
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveRequest:
     """A hashable, immutable description of one solve.
 
@@ -87,6 +88,14 @@ class SolveRequest:
     dims: SwitchDimensions
     classes: tuple[TrafficClass, ...]
     method: SolveMethod = SolveMethod.CONVOLUTION
+    #: Memo of :attr:`cache_key` (None until first read).
+    _cache_key_memo: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The traffic-mix part of the key, carried by derived requests.
+    _mix_key_memo: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", _coerce_dims(self.dims))
@@ -143,13 +152,12 @@ class SolveRequest:
         (a decoded sweep) canonicalizes its mix once, not once per
         point.
         """
-        key = self.__dict__.get("_cache_key_memo")
+        key = self._cache_key_memo
         if key is None:
             from .engine.keys import request_key
 
             key = request_key(
-                self.dims, self.classes, self.method,
-                self.__dict__.get("_mix_key_memo"),
+                self.dims, self.classes, self.method, self._mix_key_memo
             )
             object.__setattr__(self, "_cache_key_memo", key)
         return key
@@ -166,17 +174,17 @@ class SolveRequest:
         keeps the mix key: a request nothing derives from holds no
         second copy of its mix in the engine's caches.
         """
-        mix = self.__dict__.get("_mix_key_memo")
+        mix = self._mix_key_memo
         if mix is None:
             from .engine.keys import classes_key
 
             mix = classes_key(self.classes)
         request = object.__new__(type(self))
-        # The fields in __init__'s order, so instances keep one layout.
         setattr_ = object.__setattr__
         setattr_(request, "dims", dims)
         setattr_(request, "classes", self.classes)
         setattr_(request, "method", method)
+        setattr_(request, "_cache_key_memo", None)
         setattr_(request, "_mix_key_memo", mix)
         return request
 
@@ -190,8 +198,6 @@ class SolveRequest:
 
     def to_dict(self) -> dict:
         """Flat JSON-ready record (``repro.io`` class schema)."""
-        from .io import class_to_dict
-
         return {
             "n1": self.dims.n1,
             "n2": self.dims.n2,
@@ -201,8 +207,6 @@ class SolveRequest:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SolveRequest":
-        from .io import class_from_dict
-
         return cls(
             SwitchDimensions(int(record["n1"]), int(record["n2"])),
             tuple(class_from_dict(c) for c in record["classes"]),
@@ -210,7 +214,7 @@ class SolveRequest:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """Every scalar measure of one solved request, JSON-serializable.
 
@@ -342,7 +346,6 @@ class SolveResult:
         hold one Python float per class: they are stored as given,
         without ``__post_init__``'s conversion and length checks."""
         result = object.__new__(cls)
-        # The fields in __init__'s order, so instances keep one layout.
         setattr_ = object.__setattr__
         setattr_(result, "request", request)
         setattr_(result, "blocking", blocking)

@@ -12,36 +12,17 @@ This package implements the paper's primary contribution:
 * :mod:`~repro.core.measures` — the shared measure interface;
 * :mod:`~repro.core.revenue` — Section 4's revenue analysis;
 * :mod:`~repro.core.model` — the :class:`CrossbarModel` facade.
+
+The default solve path (Algorithm 1 and its kernels, the measures, the
+facade, the product-form reference) is imported with the package; the
+other solvers and analyses resolve their names on first access.
 """
 
-from .asymptotic import AsymptoticSolution, solve_asymptotic
+from .. import _lazy
 from .convolution import log_q_grid, solve_convolution
-from .exact import exact_q_table, solve_exact
-from .generating import evaluate_z, normalization_series, q_from_series
 from .measures import PerformanceSolution
 from .model import CrossbarModel
-from .moments import (
-    carried_peakedness,
-    concurrency_covariance,
-    concurrency_variance,
-    factorial_moment,
-    occupancy_pmf,
-    occupancy_variance,
-    time_congestion,
-)
-from .mva import solve_mva
-from .series_solver import DiagonalSolution, solve_series
 from .productform import StateDistribution, solve_brute_force
-from .sensitivity import blocking_elasticity_matrix, blocking_gradient
-from .revenue import (
-    gradient_burstiness,
-    gradient_rho,
-    gradient_rho_closed_form,
-    marginal_value,
-    port_marginal_revenue,
-    revenue_report,
-    shadow_cost,
-)
 from .state import SwitchDimensions, iter_states, state_space_size
 from .traffic import (
     TrafficClass,
@@ -50,6 +31,41 @@ from .traffic import (
     bpp_variance,
     classify_bpp,
     fit_bpp_from_moments,
+)
+
+#: Analysis names outside the default solve path, resolved on first
+#: access (PEP 562) so a serving process never loads their modules.
+_LAZY_EXPORTS = {
+    "AsymptoticSolution": ".asymptotic",
+    "solve_asymptotic": ".asymptotic",
+    "exact_q_table": ".exact",
+    "solve_exact": ".exact",
+    "evaluate_z": ".generating",
+    "normalization_series": ".generating",
+    "q_from_series": ".generating",
+    "carried_peakedness": ".moments",
+    "concurrency_covariance": ".moments",
+    "concurrency_variance": ".moments",
+    "factorial_moment": ".moments",
+    "occupancy_pmf": ".moments",
+    "occupancy_variance": ".moments",
+    "time_congestion": ".moments",
+    "solve_mva": ".mva",
+    "DiagonalSolution": ".series_solver",
+    "solve_series": ".series_solver",
+    "blocking_elasticity_matrix": ".sensitivity",
+    "blocking_gradient": ".sensitivity",
+    "gradient_burstiness": ".revenue",
+    "gradient_rho": ".revenue",
+    "gradient_rho_closed_form": ".revenue",
+    "marginal_value": ".revenue",
+    "port_marginal_revenue": ".revenue",
+    "revenue_report": ".revenue",
+    "shadow_cost": ".revenue",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__, _LAZY_EXPORTS, globals()
 )
 
 __all__ = [

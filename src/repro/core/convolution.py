@@ -73,6 +73,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..exceptions import ConfigurationError, OverflowInRecursionError
+from . import kernels
 from .logspace import NEG_INF
 from .measures import PerformanceSolution
 from .state import SwitchDimensions
@@ -149,11 +150,13 @@ def _fold_float(
 
 _FOLDS = {"log": _fold_log, "scaled": _fold_log, "float": _fold_float}
 
+#: The solution label of each mode: one shared string per mode, so the
+#: results a serving process caches do not each hold their own copy.
+_LABELS = {mode: f"convolution/{mode}" for mode in _FOLDS}
+
 
 def _numpy_sweep(mode: str):
     """The production kernel for ``mode`` (looked up per call)."""
-    from . import kernels
-
     return {
         "log": kernels.sweep_log,
         "scaled": kernels.sweep_scaled,
@@ -301,6 +304,6 @@ def _assemble(
         classes=classes,
         h=tuple(h_grids),
         log_q=lq,
-        method=f"convolution/{mode}",
+        method=_LABELS[mode],
         e_smooth=e_smooth,
     )

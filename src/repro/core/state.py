@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SwitchDimensions:
     """Dimensions ``(N1, N2)`` of the crossbar: ``N1`` inputs, ``N2`` outputs."""
 

@@ -137,7 +137,7 @@ def fit_bpp_from_moments(
     return alpha, beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficClass:
     """One class of connection requests offered to the crossbar.
 

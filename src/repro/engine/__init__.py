@@ -7,9 +7,11 @@ See :class:`BatchSolver` for the execution model: canonical cache keys
 sweeps, process-parallel fan-out for independent misses, and a
 :class:`FailedResult` in the slot of any request whose solver raises.
 The deterministic chaos harness (:mod:`repro.engine.chaos`) drives
-disk-cache faults here and wire/fleet faults against the service.
+disk-cache faults here and wire/fleet faults against the service; its
+names resolve lazily, and an engine loads it only for a fault plan.
 """
 
+from .. import _lazy
 from .batch import (
     BatchMetrics,
     BatchSolver,
@@ -36,19 +38,29 @@ from .cache import (
     LRUCache,
     StaleCacheKeyError,
 )
-from .chaos import (
-    CacheFaultInjector,
-    ChaosFault,
-    ClusterFault,
-    ClusterFaultInjector,
-    ClusterFaultPlan,
-    FaultPlan,
-    ServiceFault,
-    ServiceFaultInjector,
-    ServiceFaultPlan,
-    corrupt_entry,
-)
 from .keys import classes_key, key_digest, request_key
+
+#: The chaos harness, resolved on first access (PEP 562): an engine
+#: without a fault plan never loads it.
+_LAZY_EXPORTS = dict.fromkeys(
+    (
+        "CacheFaultInjector",
+        "ChaosFault",
+        "ClusterFault",
+        "ClusterFaultInjector",
+        "ClusterFaultPlan",
+        "FaultPlan",
+        "ServiceFault",
+        "ServiceFaultInjector",
+        "ServiceFaultPlan",
+        "corrupt_entry",
+    ),
+    ".chaos",
+)
+
+__getattr__, __dir__ = _lazy.lazy_exports(
+    __name__, _LAZY_EXPORTS, globals()
+)
 
 __all__ = [
     "BatchMetrics",

@@ -55,7 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..api import SolveRequest, SolveResult
 from ..core.measures import PerformanceSolution
@@ -64,8 +64,10 @@ from ..logging import get_logger, kv
 from ..methods import SolveMethod
 from .breaker import CircuitBreaker
 from .cache import DiskCache, LRUCache
-from .chaos import CacheFaultInjector, FaultPlan
 from .keys import canonical_order, class_params
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .chaos import FaultPlan
 
 __all__ = [
     "BatchMetrics",
@@ -530,6 +532,16 @@ def _twins(misses: list[tuple[int, SolveRequest, str]]) -> list[int]:
     ]
 
 
+def _fault_hook(chaos: "FaultPlan | None") -> Any:
+    """The disk cache's fault injector for a configured plan, else None.
+    The chaos harness is imported only when a plan has faults."""
+    if chaos is None or not chaos.faults:
+        return None
+    from .chaos import CacheFaultInjector
+
+    return CacheFaultInjector(chaos)
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -542,7 +554,6 @@ class BatchSolver:
         self.config = config or EngineConfig.from_env()
         self._results = LRUCache(self.config.lru_size)
         self._solutions = LRUCache(self.config.solution_lru_size)
-        chaos = self.config.chaos
         self.disk = (
             DiskCache(
                 self.config.disk_cache,
@@ -551,11 +562,7 @@ class BatchSolver:
                     failure_threshold=self.config.breaker_threshold,
                     cooldown=self.config.breaker_cooldown,
                 ),
-                fault_hook=(
-                    CacheFaultInjector(chaos)
-                    if chaos is not None and chaos.faults
-                    else None
-                ),
+                fault_hook=_fault_hook(self.config.chaos),
             )
             if self.config.disk_cache is not None
             else None

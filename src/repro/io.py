@@ -44,6 +44,26 @@ __all__ = [
 
 _CLASS_KEYS = {"name", "alpha", "beta", "mu", "a", "weight"}
 
+#: Decoded class names, one shared copy each.  A serving process decodes
+#: the same few names on every request, so the results it caches share
+#: them rather than keeping one copy per decoded body.  The names come
+#: from clients, so the memo is bounded like the daemon's own memos: a
+#: full memo is cleared before its next insert.
+_NAME_MEMO: dict[str, str] = {}
+_NAME_MEMO_CAP = 256
+
+
+def _shared_name(value: object) -> str:
+    """``str(value)``, as the memo's copy when ``value`` is a ``str``."""
+    if type(value) is not str:
+        return str(value)
+    shared = _NAME_MEMO.get(value)
+    if shared is None:
+        if len(_NAME_MEMO) >= _NAME_MEMO_CAP:
+            _NAME_MEMO.clear()
+        _NAME_MEMO[value] = shared = value
+    return shared
+
 
 def class_to_dict(cls: TrafficClass) -> dict:
     """Flat JSON-ready record of one traffic class."""
@@ -58,7 +78,11 @@ def class_to_dict(cls: TrafficClass) -> dict:
 
 
 def class_from_dict(record: dict) -> TrafficClass:
-    """Inverse of :func:`class_to_dict` (unknown keys rejected)."""
+    """Inverse of :func:`class_to_dict` (unknown keys rejected).
+
+    The name is shared through a bounded memo (:data:`_NAME_MEMO`), so
+    the results a serving process caches keep one copy of each name.
+    """
     if not isinstance(record, dict):
         raise ConfigurationError(
             f"traffic class record must be an object, got {type(record)}"
@@ -78,7 +102,7 @@ def class_from_dict(record: dict) -> TrafficClass:
         weight=(
             float(record["weight"]) if "weight" in record else None
         ),
-        name=str(record.get("name", "")),
+        name=_shared_name(record.get("name", "")),
     )
 
 

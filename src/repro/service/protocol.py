@@ -45,6 +45,7 @@ from ..api import RESULT_SCHEMA_VERSION, SolveRequest, SolveResult
 from ..core.state import SwitchDimensions
 from ..engine import FailedResult, TaskAttempt
 from ..exceptions import ConfigurationError
+from ..io import class_to_dict
 from ..methods import SolveMethod
 
 __all__ = [
@@ -241,8 +242,6 @@ def _result_record(result: SolveResult, classes_json: dict[int, str]) -> str:
     request = result.request
     classes = classes_json.get(id(request.classes))
     if classes is None:
-        from ..io import class_to_dict
-
         classes = json.dumps([class_to_dict(c) for c in request.classes])
         classes_json[id(request.classes)] = classes
     dims = request.dims

@@ -429,11 +429,13 @@ class SolveService:
         #: bytes decode identically, so hot traffic skips the JSON
         #: parse + request canonicalization on repeat sightings.
         self._parse_memo: dict[bytes, tuple[SolveRequest, float | None]] = {}
-        #: Canonical key -> (result, its serialized JSON).  A reply
-        #: splices the fragment only when it serves that very result
-        #: object: a hot repeat gets the engine's one served copy back
-        #: and re-encodes nothing, while another class order (same key)
-        #: or a fresh solve is encoded for itself.
+        #: Canonical key -> (result, its serialized JSON), for results
+        #: served from the cache.  A reply splices the fragment only
+        #: when it serves that very result object: a hot repeat gets
+        #: the engine's one served copy back and re-encodes nothing,
+        #: while another class order (same key) is encoded for itself.
+        #: A fresh solve's fragment is never kept: the next hit on its
+        #: key is the engine's served copy, not that result.
         self._result_memo: dict[str, tuple[SolveResult, bytes]] = {}
         # Both memos hold at most _MEMO_CAP entries: a full memo is
         # cleared before its next insert, so a shifting working set
@@ -874,9 +876,10 @@ class SolveService:
             fragment = memo[1]
         else:
             fragment = json.dumps(encode_result(result)).encode("utf-8")
-            if len(self._result_memo) >= _MEMO_CAP:
-                self._result_memo.clear()
-            self._result_memo[request.cache_key] = (result, fragment)
+            if result.from_cache:
+                if len(self._result_memo) >= _MEMO_CAP:
+                    self._result_memo.clear()
+                self._result_memo[request.cache_key] = (result, fragment)
         tail = (
             f', "coalesced": {"true" if coalesced else "false"}'
             f', "from_cache": {"true" if result.from_cache else "false"}'

@@ -133,7 +133,8 @@ class TestSolveResult:
         """Built without ``__post_init__``, a grid read's result equals
         the validated one field for field, and saves exactly the three
         tuples ``__post_init__`` converts: the instance itself keeps the
-        normal attribute layout (a materialized ``__dict__`` grows it)."""
+        class's slotted layout."""
+        import dataclasses
         import sys
         import tracemalloc
 
@@ -166,8 +167,11 @@ class TestSolveResult:
         converted = 3 * sys.getsizeof(points[0][0]) * len(requests)
         assert read_bytes <= checked_bytes - converted
         assert read == checked
+        names = [f.name for f in dataclasses.fields(SolveResult)]
         for got, want in zip(read, checked):
-            assert vars(got) == vars(want)
+            assert [getattr(got, n) for n in names] == [
+                getattr(want, n) for n in names
+            ]
 
     def test_derived_measures(self, classes):
         result = solve(SolveRequest.square(6, classes))
@@ -204,6 +208,39 @@ class TestSolveResult:
                 mean_occupancy=good.mean_occupancy,
                 utilization=good.utilization,
             )
+
+
+class TestValueTypes:
+    def test_value_types_are_slotted_and_copy_equal(self, classes):
+        """The four value types keep no instance ``__dict__`` and come
+        back equal from ``pickle`` (the process pool's path) and from
+        ``dataclasses.replace``; the request's memos are fields that
+        neither compare nor survive a ``replace``."""
+        import dataclasses
+        import pickle
+
+        from repro.engine import BatchSolver, EngineConfig
+
+        request = SolveRequest.square(8, classes)
+        key = request.cache_key  # fills the memo
+        result = solve(request, engine=BatchSolver(EngineConfig()))
+        for value in (request.dims, request.classes[0], request, result):
+            assert not hasattr(value, "__dict__"), type(value)
+            with pytest.raises((AttributeError, TypeError)):
+                object.__setattr__(value, "extra", 1)
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert dataclasses.replace(value) == value
+        assert pickle.loads(pickle.dumps(request)).cache_key == key
+        assert SolveRequest.square(8, classes) == request
+        assert hash(SolveRequest.square(8, classes)) == hash(request)
+        fresh = SolveRequest.square(6, classes)
+        assert request.with_dims(6).cache_key == fresh.cache_key
+        assert dataclasses.replace(
+            request, dims=SwitchDimensions.square(6)
+        ).cache_key == fresh.cache_key
+        assert request.with_method("mva").cache_key == SolveRequest.square(
+            8, classes, "mva"
+        ).cache_key
 
 
 class TestEntryPoints:

@@ -5,8 +5,11 @@
 packages, and a one-worker daemon must not load the client or the fleet
 supervisor.  Answering requests must not import them either: a deferred
 import that moved onto the request path would trade cold-start time for
-first-request latency.  Every check runs in a fresh interpreter, since
-this test process has long since imported everything.
+first-request latency.  The daemon also starts without the solvers and
+analyses its default method does not use, and then serves a
+default-method ``/solve`` and ``/batch`` without importing anything.
+Every check runs in a fresh interpreter, since this test process has
+long since imported everything.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import textwrap
 import pytest
 
 import repro
+import repro.core
+import repro.engine
 import repro.service
 
 #: Modules (and their submodules) a serving process must never load.
@@ -38,6 +43,27 @@ IMPORT_BUDGET = (
     "repro.service.cluster",
 )
 
+#: Modules a serving process must not load at startup.  Their own
+#: methods may load them on the request path (``/solve`` with
+#: ``"method": "mva"`` imports ``repro.core.mva``), so they are not in
+#: :data:`IMPORT_BUDGET`; a default-method request never does.
+STARTUP_ONLY = (
+    "repro.robust",
+    "repro.engine.chaos",
+    "repro.validation",
+    "repro.core.asymptotic",
+    "repro.core.exact",
+    "repro.core.generating",
+    "repro.core.moments",
+    "repro.core.mva",
+    "repro.core.revenue",
+    "repro.core.sensitivity",
+    "repro.core.series_solver",
+)
+
+#: The most ``repro`` modules the daemon's entry points may load.
+STARTUP_REPRO_MODULES = 33
+
 _REPORT = """
 import json as _json, sys as _sys
 _budget = {budget!r}
@@ -48,12 +74,11 @@ print(_json.dumps(sorted(
 """
 
 
-def _over_budget(script: str) -> list[str]:
-    """Run ``script`` in a fresh interpreter; the budget modules it loaded."""
+def _run(code: str) -> object:
+    """Run ``code`` in a fresh interpreter; the JSON of its last line."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = textwrap.dedent(script) + _REPORT.format(budget=IMPORT_BUDGET)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env,
         capture_output=True, text=True, timeout=120,
@@ -62,10 +87,18 @@ def _over_budget(script: str) -> list[str]:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _roots(modules: list[str]) -> list[str]:
+def _over_budget(script: str, budget: tuple[str, ...] = IMPORT_BUDGET
+                 ) -> list[str]:
+    """Run ``script`` in a fresh interpreter; the ``budget`` modules it
+    loaded."""
+    return _run(textwrap.dedent(script) + _REPORT.format(budget=budget))
+
+
+def _roots(modules: list[str], budget: tuple[str, ...] = IMPORT_BUDGET
+           ) -> list[str]:
     """Collapse a module list to its budget entries, for the message."""
     return sorted(
-        {b for b in IMPORT_BUDGET for m in modules
+        {b for b in budget for m in modules
          if m == b or m.startswith(b + ".")}
     )
 
@@ -82,16 +115,26 @@ def test_cold_import_stays_in_budget(statement):
     )
 
 
-_SERVE_EVERY_METHOD = """
-import http.client, json
+def test_daemon_startup_loads_only_the_serving_stack():
+    statement = "import repro.cli, repro.service.server"
+    loaded = _over_budget(statement, ("repro",))
+    startup_only = _roots(loaded, STARTUP_ONLY)
+    assert not startup_only, f"{statement!r} loaded {startup_only}"
+    assert len(loaded) <= STARTUP_REPRO_MODULES, (
+        f"{statement!r} loaded {len(loaded)} repro modules "
+        f"(budget {STARTUP_REPRO_MODULES}): {loaded}"
+    )
+
+
+#: A client for a daemon started in the same interpreter.
+_CLIENT = """
+import http.client, json, sys
 from repro.service import ServiceConfig, start_in_thread
 
 classes = [
     {"alpha": 0.05, "beta": 0.0, "mu": 1.0, "a": 1},
     {"alpha": 0.02, "beta": 0.1, "mu": 1.0, "a": 2},
 ]
-methods = ["convolution", "convolution-scaled", "convolution-float",
-           "mva", "exact", "series", "robust", "brute-force"]
 
 def post(port, path, payload):
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
@@ -103,6 +146,11 @@ def post(port, path, payload):
         assert reply.status == 200, (path, payload, reply.status, body)
     finally:
         conn.close()
+"""
+
+_SERVE_EVERY_METHOD = _CLIENT + """
+methods = ["convolution", "convolution-scaled", "convolution-float",
+           "mva", "exact", "series", "robust", "brute-force"]
 
 with start_in_thread(ServiceConfig(port=0)) as handle:
     port = handle.address[1]
@@ -123,7 +171,32 @@ def test_request_path_imports_nothing_new():
     )
 
 
-@pytest.mark.parametrize("package", [repro, repro.service])
+_SERVE_DEFAULT_METHOD = "import repro.cli\n" + _CLIENT + """
+with start_in_thread(ServiceConfig(port=0)) as handle:
+    port = handle.address[1]
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    conn.request("GET", "/healthz")  # the client's own first imports
+    conn.getresponse().read()
+    conn.close()
+    started = set(sys.modules)
+    post(port, "/solve", {"request": {"n1": 4, "n2": 5, "classes": classes}})
+    post(port, "/batch", {"requests": [
+        {"n1": n, "n2": n, "classes": classes} for n in (3, 4, 6, 8)]})
+    print(json.dumps(sorted(set(sys.modules) - started)))
+"""
+
+
+@pytest.mark.service
+def test_serving_default_requests_imports_nothing_new():
+    """Startup imports the whole default solve path: no request pays
+    for a first import, and nothing is loaded that startup skipped."""
+    new = _run(_SERVE_DEFAULT_METHOD)
+    assert not new, f"serving /solve and /batch imported {new}"
+
+
+@pytest.mark.parametrize(
+    "package", [repro, repro.core, repro.engine, repro.service]
+)
 def test_lazy_names_resolve(package):
     for name in package.__all__:
         assert getattr(package, name) is not None, name
@@ -133,12 +206,14 @@ def test_lazy_names_resolve(package):
 
 def test_dir_lists_unresolved_lazy_names():
     loaded = _over_budget("""
-        import repro, repro.service
-        for package in (repro, repro.service):
+        import repro, repro.core, repro.engine, repro.service
+        for package in (repro, repro.core, repro.engine, repro.service):
             missing = set(package.__all__) - set(dir(package))
             assert not missing, (package.__name__, sorted(missing))
-    """)
-    assert not loaded, f"dir() imported {_roots(loaded)}"
+    """, IMPORT_BUDGET + STARTUP_ONLY)
+    assert not loaded, (
+        f"dir() imported {_roots(loaded, IMPORT_BUDGET + STARTUP_ONLY)}"
+    )
 
 
 def test_star_import_resolves_lazy_names():

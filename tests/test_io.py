@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -55,6 +57,34 @@ class TestClassRoundTrip:
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigurationError):
             class_from_dict([1, 2, 3])
+
+
+class TestNameMemo:
+    def test_repeated_names_share_one_copy(self):
+        first = class_from_dict(json.loads('{"alpha": 0.1, "name": "data"}'))
+        again = class_from_dict(json.loads('{"alpha": 0.2, "name": "data"}'))
+        assert first.name == again.name == "data"
+        assert first.name is again.name
+
+    def test_distinct_names_leave_no_growth_behind(self):
+        # Class names are client input on the serving path: decoding
+        # many distinct ones must not keep them all alive.
+        class_from_dict({"alpha": 0.1, "name": "warm-up"})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(10_000):
+                class_from_dict({"alpha": 0.1, "name": f"client-class-{i:05d}"})
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # 10k kept names would be ~0.7 MB; the bounded memo is a few KB.
+        assert grown < 100_000, grown
+
+    def test_non_string_names_are_stringified(self):
+        assert class_from_dict({"alpha": 0.1, "name": 7}).name == "7"
 
 
 class TestModelRoundTrip:

@@ -280,6 +280,102 @@ def test_repeat_request_reports_from_cache_inside_and_out():
         )
 
 
+def solve_envelope(body: bytes, result: SolveResult) -> bytes:
+    """The ``/solve`` reply ``body`` should be: ``json.dumps`` of the
+    envelope dict around ``result`` (id and timing taken from ``body``)."""
+    reply = json.loads(body)
+    return json.dumps({
+        "id": reply["id"],
+        "result": encode_result(result),
+        "coalesced": reply["coalesced"],
+        "from_cache": reply["from_cache"],
+        "elapsed_ms": reply["elapsed_ms"],
+    }).encode("utf-8")
+
+
+def test_fragment_memo_keeps_only_cache_served_results(monkeypatch):
+    """A fresh solve's fragment is not memoized (the next hit serves
+    the engine's copy, never that result); the first hit memoizes the
+    served copy and the next hit splices it.  Every reply is the
+    envelope's ``json.dumps`` byte for byte."""
+    import repro.service.server as server_module
+
+    encoded: list[SolveResult] = []
+    real_encode = server_module.encode_result
+
+    def counting_encode(result):
+        encoded.append(result)
+        return real_encode(result)
+
+    monkeypatch.setattr(server_module, "encode_result", counting_encode)
+    request = data_video_mix()
+    key = request.cache_key
+    payload = {"request": request.to_dict()}
+    fresh = BatchSolver(EngineConfig()).solve(request)
+    engine = BatchSolver(EngineConfig())
+    with start_in_thread(ServiceConfig(port=0), engine=engine) as handle:
+        memo = handle.service._result_memo
+
+        async def post() -> bytes:
+            status, body = await post_bytes(handle.port, "/solve", payload)
+            assert status == 200, body
+            return body
+
+        cold = asyncio.run(post())
+        assert key not in memo
+        assert cold == solve_envelope(cold, fresh)
+        assert len(encoded) == 1
+
+        hit = asyncio.run(post())
+        served = engine.cached_result(request, memory_only=True)
+        assert served.from_cache
+        assert memo[key][0] is served
+        entry = memo[key]
+        assert hit == solve_envelope(hit, served)
+        assert len(encoded) == 2
+
+        spliced = asyncio.run(post())
+        assert memo[key] is entry
+        assert len(encoded) == 2  # the fragment was spliced
+        assert spliced == solve_envelope(spliced, served)
+    assert [json.loads(b)["from_cache"] for b in (cold, hit, spliced)] == [
+        False, True, True
+    ]
+
+
+def test_coalesced_follower_gets_its_own_bytes_and_no_memo():
+    forward, reverse = data_video_mix(), data_video_mix(reverse=True)
+    with start_in_thread(
+        ServiceConfig(port=0, batch_window=0.5),
+        engine=BatchSolver(EngineConfig()),
+    ) as handle:
+        service = handle.service
+
+        async def lead_and_follow() -> tuple[bytes, bytes]:
+            led = asyncio.ensure_future(post_bytes(
+                handle.port, "/solve", {"request": forward.to_dict()}
+            ))
+            deadline = time.monotonic() + 5.0
+            while not len(service.flights):
+                assert time.monotonic() < deadline, "solve never led"
+                await asyncio.sleep(0.005)
+            status, followed = await post_bytes(
+                handle.port, "/solve", {"request": reverse.to_dict()}
+            )
+            assert status == 200, followed
+            status, solo = await led
+            assert status == 200, solo
+            return solo, followed
+
+        solo, followed = asyncio.run(lead_and_follow())
+        assert service.flights.hits == 1
+        assert forward.cache_key not in service._result_memo
+    assert json.loads(followed)["coalesced"] is True
+    fresh = BatchSolver(EngineConfig()).solve(forward)
+    assert solo == solve_envelope(solo, fresh)
+    assert followed == solve_envelope(followed, readdressed(fresh, reverse))
+
+
 def test_keepalive_hot_requests_arm_one_read_timer_and_no_task():
     """100 cache hits on one keep-alive connection share the
     connection's single read timer, and closing the connection
