@@ -134,23 +134,7 @@ __getattr__, __dir__ = _lazy.lazy_exports(
 )
 
 
-#: Version of last resort when the distribution metadata is absent
-#: (e.g. running from a source checkout via ``PYTHONPATH=src``).
-_FALLBACK_VERSION = "3.5.0"
-
-
-def _detect_version() -> str:
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-    except ImportError:  # pragma: no cover - stdlib since 3.8
-        return _FALLBACK_VERSION
-    try:
-        return version("repro")
-    except PackageNotFoundError:
-        return _FALLBACK_VERSION
-
-
-__version__ = _detect_version()
+__version__ = "4.0.0"
 
 __all__ = [
     "AsymptoticSolution",

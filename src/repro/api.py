@@ -24,7 +24,7 @@ True
   cache on disk and to ship across process boundaries.
 * :func:`solve` / :func:`solve_many` — evaluate requests through the
   process-wide default :class:`~repro.engine.BatchSolver`; batches get
-  Q-grid sharing, memoization and optional process parallelism.
+  Q-grid sharing and memoization.
 """
 
 from __future__ import annotations
@@ -452,10 +452,9 @@ def solve_many(
     requests: Sequence[SolveRequest],
     *,
     engine: "BatchSolver | None" = None,
-    parallel: bool | None = None,
     strict: bool = False,
 ) -> list[SolveResult]:
-    """Solve a batch of requests with caching, Q-grid reuse and fan-out.
+    """Solve a batch of requests with caching and Q-grid reuse.
 
     See :meth:`repro.engine.BatchSolver.evaluate_many` for the batching
     semantics; results come back in request order.  A request whose
@@ -467,5 +466,5 @@ def solve_many(
     from .engine import get_default_engine
 
     return (engine or get_default_engine()).evaluate_many(
-        requests, parallel=parallel, strict=strict
+        requests, strict=strict
     )

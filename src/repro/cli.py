@@ -254,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the run's BatchMetrics as JSON to PATH "
              "('-' for stdout)",
     )
-    p.add_argument(
-        "--parallel", action="store_true", default=None,
-        help="force process-pool fan-out for cache misses",
-    )
 
     p = sub.add_parser(
         "serve",
@@ -791,7 +787,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         ]
 
     engine = get_default_engine()
-    results = engine.evaluate_many(requests, parallel=args.parallel)
+    results = engine.evaluate_many(requests)
     metrics = engine.last_metrics
 
     if args.metrics_json:

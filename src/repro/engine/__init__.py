@@ -4,7 +4,7 @@ See :class:`BatchSolver` for the execution model: canonical cache keys
 (:mod:`repro.engine.keys`), LRU + optional disk caches
 (:mod:`repro.engine.cache`) guarded by a circuit breaker
 (:mod:`repro.engine.breaker`), shared Algorithm 1 Q-grids for size
-sweeps, process-parallel fan-out for independent misses, and a
+sweeps, one serial solve per distinct leftover miss, and a
 :class:`FailedResult` in the slot of any request whose solver raises.
 The deterministic chaos harness (:mod:`repro.engine.chaos`) drives
 disk-cache faults here and wire/fleet faults against the service; its
@@ -18,7 +18,6 @@ from .batch import (
     EngineConfig,
     EngineStats,
     FailedResult,
-    TaskAttempt,
     get_default_engine,
     readdressed,
     reset_default_engine,
@@ -68,7 +67,6 @@ __all__ = [
     "EngineConfig",
     "EngineStats",
     "FailedResult",
-    "TaskAttempt",
     "get_default_engine",
     "readdressed",
     "reset_default_engine",

@@ -1,4 +1,4 @@
-"""The batched evaluation engine: memoized, grid-sharing, parallel.
+"""The batched evaluation engine: memoized and grid-sharing.
 
 :class:`BatchSolver` is the execution layer behind the unified solve
 API (:mod:`repro.api`).  It exploits three structural facts about the
@@ -22,9 +22,8 @@ model:
    single big grid.  The sub-dimension reads are bit-for-bit identical
    to individual solves (the recurrence at cell ``(m1, m2)`` never
    looks at cells beyond it).
-3. **Independence** — cache-miss requests that cannot share a grid are
-   embarrassingly parallel; large miss batches fan out over a
-   ``ProcessPoolExecutor`` with deterministic (request-order) results.
+3. **One solve per distinct miss** — the misses left over are solved
+   serially, in request order; misses equal as requests share a solve.
 
 Failures
 --------
@@ -32,9 +31,9 @@ The engine follows the paper's loss discipline: a request that cannot
 be served is cleared, never re-offered.  Solver errors
 (:class:`~repro.exceptions.CrossbarError`) are deterministic, so a
 request that raises one comes back as a :class:`FailedResult` in its
-slot — one ``"error"`` :class:`TaskAttempt`, no retry — while the rest
-of the batch completes.  ``strict=True`` re-raises the first such error
-in request order instead.  Any other exception propagates.
+slot, never retried, while the rest of the batch completes.
+``strict=True`` re-raises the first such error in request order
+instead.  Any other exception propagates.
 
 Every batch records a :class:`BatchMetrics` (timings, hit counts, grid
 reuse, failures and the cache circuit-breaker state) surfaced through
@@ -50,10 +49,8 @@ import math
 import os
 import threading
 import time
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -75,7 +72,6 @@ __all__ = [
     "EngineConfig",
     "EngineStats",
     "FailedResult",
-    "TaskAttempt",
     "get_default_engine",
     "readdressed",
     "set_default_engine",
@@ -86,12 +82,6 @@ logger = get_logger("engine.batch")
 
 #: Environment variable enabling the on-disk result cache by default.
 CACHE_DIR_ENV = "REPRO_ENGINE_CACHE_DIR"
-
-#: Minimum number of non-shareable cache misses in one batch before a
-#: process pool is worth its start-up cost (``parallel=None``).
-PARALLEL_THRESHOLD = 8
-#: Pool chunks per worker: each worker gets a few chunks of misses.
-CHUNKS_PER_WORKER = 4
 
 #: :meth:`BatchSolver.kernel_work` counts grid cells of one swept
 #: class (0.02 to 0.04 us each on a 2-vCPU host as its speed drifts).
@@ -124,8 +114,6 @@ class EngineConfig:
     disk_cache: str | Path | None = None
     #: Raise on corrupt/stale disk entries instead of quarantining.
     strict_cache: bool = False
-    #: Worker processes for parallel batches (None: one per CPU).
-    processes: int | None = None
     #: Consecutive disk-cache I/O failures before the cache circuit
     #: breaker trips and the engine goes memory-only.
     breaker_threshold: int = 5
@@ -185,38 +173,18 @@ class EngineStats:
 
 
 @dataclass(frozen=True)
-class TaskAttempt:
-    """One attempt at one batch member: what happened, how long."""
-
-    attempt: int
-    outcome: str  # "error": the solver raised a CrossbarError
-    elapsed: float
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "attempt": self.attempt,
-            "outcome": self.outcome,
-            "elapsed": self.elapsed,
-            "detail": self.detail,
-        }
-
-
-@dataclass(frozen=True)
 class FailedResult:
     """Terminal failure envelope for one request in a batch.
 
     Returned (in request order, like any :class:`~repro.api.SolveResult`)
     when a request's solver raises a
     :class:`~repro.exceptions.CrossbarError` in non-strict mode, so one
-    bad request never poisons the rest of the batch.  ``attempts``
-    holds the single failed attempt.
+    bad request never poisons the rest of the batch.
     """
 
     request: SolveRequest
     error_type: str
     error_message: str
-    attempts: tuple[TaskAttempt, ...] = ()
 
     #: Discriminator: ``getattr(result, "failed", False)`` is True only
     #: for failure envelopes.
@@ -227,7 +195,6 @@ class FailedResult:
             "request": self.request.to_dict(),
             "error_type": self.error_type,
             "error_message": self.error_message,
-            "attempts": [a.to_dict() for a in self.attempts],
         }
 
 
@@ -243,10 +210,13 @@ class BatchMetrics:
     grid_points: int
     #: Requests solved individually (after cache + grid sharing).
     solved: int
-    parallel: bool
     elapsed: float
-    #: Retry attempts: always 0 (solver errors are deterministic, so
-    #: the engine never re-offers a request); kept for record readers.
+    #: Always False: every miss is solved serially.  Kept, like
+    #: ``retries``, because ``benchmarks/layers/traced_server.py``
+    #: reads both fields by name.
+    parallel: bool = False
+    #: Always 0: solver errors are deterministic, so the engine never
+    #: re-offers a request.
     retries: int = 0
     #: Requests that ended as a :class:`FailedResult`.
     failed: int = 0
@@ -280,7 +250,7 @@ class BatchMetrics:
 
 
 # ----------------------------------------------------------------------
-# Method dispatch (shared by the engine and its pool workers)
+# Method dispatch
 # ----------------------------------------------------------------------
 
 
@@ -332,38 +302,6 @@ def _result_from(
     return SolveResult.from_solution(
         request, measurable, solved_by=label, elapsed=elapsed
     )
-
-
-def _solve_or_fail(
-    request: SolveRequest,
-    strict: bool = False,
-    dispatch: Callable[[SolveRequest], Any] = _dispatch_solve,
-) -> SolveResult | FailedResult:
-    """Solve one batch miss; the pool-worker entry point.
-
-    A :class:`~repro.exceptions.CrossbarError` becomes a
-    :class:`FailedResult` carrying one ``"error"`` attempt (re-raised
-    instead when ``strict``); any other exception propagates.
-    """
-    began = time.perf_counter()
-    try:
-        solution = dispatch(request)
-    except CrossbarError as exc:
-        if strict:
-            raise
-        detail = f"{type(exc).__name__}: {str(exc)[:120]}"
-        logger.warning(
-            "request failed %s", kv(error=type(exc).__name__, detail=detail)
-        )
-        return FailedResult(
-            request=request,
-            error_type=type(exc).__name__,
-            error_message=str(exc),
-            attempts=(
-                TaskAttempt(0, "error", time.perf_counter() - began, detail),
-            ),
-        )
-    return _result_from(request, solution, time.perf_counter() - began)
 
 
 def sliced_solution(
@@ -548,7 +486,7 @@ def _fault_hook(chaos: "FaultPlan | None") -> Any:
 
 
 class BatchSolver:
-    """Cached, batched, optionally process-parallel solve engine."""
+    """Cached, batched solve engine."""
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig.from_env()
@@ -653,20 +591,16 @@ class BatchSolver:
     def evaluate_many(
         self,
         requests: Sequence[SolveRequest],
-        parallel: bool | None = None,
         strict: bool = False,
     ) -> list[SolveResult | FailedResult]:
         """Evaluate a batch: cache, share Q-grids, then solve the rest.
 
-        Results are returned in request order regardless of execution
-        order, and are byte-identical whether served serially, in
-        parallel, or from cache.  Each leftover miss is solved once —
-        misses equal as requests share that solve — serially or, when
-        ``parallel`` asks for it or (``None``) at
-        :data:`PARALLEL_THRESHOLD` solves or more, over a process pool.
-        Solution objects are read through :meth:`solution_for`'s memo
-        but never written back: only results are kept.  A request
-        whose solver raises a
+        Results are returned in request order, and are byte-identical
+        whether solved, read off a shared grid or served from cache.
+        Each leftover miss is solved once, serially — misses equal as
+        requests share that solve.  Solution objects are read through
+        :meth:`solution_for`'s memo but never written back: only
+        results are kept.  A request whose solver raises a
         :class:`~repro.exceptions.CrossbarError` comes back as a
         :class:`FailedResult` in its slot while the rest of the batch
         completes; ``strict=True`` re-raises the first such error in
@@ -702,29 +636,7 @@ class BatchSolver:
         # Grid-group fallbacks join the tail: restore request order so
         # a strict batch raises its first failure.
         leftover.sort(key=lambda miss: miss[0])
-
-        twins = _twins(leftover)
-        unique = [
-            request for k, (_, request, _) in enumerate(leftover)
-            if twins[k] == k
-        ]
-        use_pool = self._should_parallelize(len(unique), parallel)
-        if use_pool:
-            workers = min(self._worker_count(), len(unique))
-            chunk = max(
-                1, math.ceil(len(unique) / (workers * CHUNKS_PER_WORKER))
-            )
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                failed = self._fill(leftover, twins, executor.map(
-                    partial(_solve_or_fail, strict=strict),
-                    unique,
-                    chunksize=chunk,
-                ), results)
-        else:
-            failed = self._fill(leftover, twins, (
-                _solve_or_fail(request, strict, self._read_or_solve)
-                for request in unique
-            ), results)
+        failed = self._solve_leftover(leftover, strict, results)
 
         # The batch's counters, under one lock.
         self.stats._add(
@@ -740,7 +652,6 @@ class BatchSolver:
             grid_groups=grid_groups,
             grid_points=grid_points,
             solved=len(leftover),
-            parallel=use_pool,
             elapsed=time.perf_counter() - began,
             failed=failed,
             breaker_state=(
@@ -755,26 +666,25 @@ class BatchSolver:
             logger.info("batch evaluated %s", kv(**metrics.to_dict()))
         return results  # type: ignore[return-value]
 
-    def _fill(
+    def _solve_leftover(
         self,
         misses: list[tuple[int, SolveRequest, str]],
-        twins: list[int],
-        solved: Iterable[SolveResult | FailedResult],
+        strict: bool,
         results: list[SolveResult | FailedResult | None],
     ) -> int:
-        """Store each miss's result and place it in its slot; returns the
-        number of :class:`FailedResult` envelopes.
+        """Solve each miss, store its result and place it in its slot;
+        returns the number of :class:`FailedResult` envelopes.
 
-        ``solved`` yields one result per first-of-its-twins miss, in
-        order; a later twin takes its first's result object, carrying
-        its own request when that is not the very same object (class
-        names are not part of the key).
+        A miss equal as a request to an earlier one (:func:`_twins`)
+        takes that one's result object, carrying its own request when
+        that is not the very same object (class names are not part of
+        the key).
         """
         failed = 0
-        solved = iter(solved)
+        twins = _twins(misses)
         for k, (i, request, key) in enumerate(misses):
             if twins[k] == k:
-                result = next(solved)
+                result = self._solve_or_fail(request, strict)
             else:
                 result = results[misses[twins[k]][0]]
                 if result.request is not request:
@@ -785,6 +695,31 @@ class BatchSolver:
                 self._store(key, result)
             results[i] = result
         return failed
+
+    def _solve_or_fail(
+        self, request: SolveRequest, strict: bool
+    ) -> SolveResult | FailedResult:
+        """Solve one batch miss.  A
+        :class:`~repro.exceptions.CrossbarError` becomes a
+        :class:`FailedResult` (re-raised instead when ``strict``); any
+        other exception propagates."""
+        began = time.perf_counter()
+        try:
+            solution = self._read_or_solve(request)
+        except CrossbarError as exc:
+            if strict:
+                raise
+            detail = f"{type(exc).__name__}: {str(exc)[:120]}"
+            logger.warning(
+                "request failed %s",
+                kv(error=type(exc).__name__, detail=detail),
+            )
+            return FailedResult(
+                request=request,
+                error_type=type(exc).__name__,
+                error_message=str(exc),
+            )
+        return _result_from(request, solution, time.perf_counter() - began)
 
     def kernel_work(self, requests: Sequence[SolveRequest]) -> int | None:
         """An upper estimate of the Algorithm 1 work
@@ -1006,27 +941,6 @@ class BatchSolver:
                 results[i] = result
             grid_points += len(members)
         return grid_groups, grid_points, leftover
-
-    # ------------------------------------------------------------------
-    # Parallel fan-out
-    # ------------------------------------------------------------------
-
-    def _worker_count(self) -> int:
-        if self.config.processes is not None:
-            return max(1, self.config.processes)
-        return max(1, os.cpu_count() or 1)
-
-    def _should_parallelize(
-        self, n_misses: int, parallel: bool | None
-    ) -> bool:
-        if n_misses < 2:
-            return False
-        if parallel is not None:
-            return parallel and self._worker_count() > 1
-        return (
-            n_misses >= PARALLEL_THRESHOLD
-            and self._worker_count() > 1
-        )
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,6 @@ __all__ = [
     "SolverAttempt",
     "SolverDiagnostics",
     "SolverSpec",
-    "cheap_chain",
     "check_solution_health",
     "default_chain",
     "solve_robust",
@@ -176,20 +175,6 @@ def default_chain() -> tuple[SolverSpec, ...]:
         SolverSpec("series", solve_series),
         SolverSpec("exact", solve_exact, _exact_guard),
     )
-
-
-def cheap_chain() -> tuple[SolverSpec, ...]:
-    """The cheap prefix of :func:`default_chain`.
-
-    The serving daemon's brownout ladder ("cheap-method" stage, see
-    :mod:`repro.service.brownout`) rewrites overload-time solves onto
-    the robust path precisely because this prefix leads it: MVA is the
-    cheapest solver in the repertoire and the log-mode convolution is
-    the cheapest broadly-stable one.  Exposed separately so capacity
-    planning (and tests) can measure the degraded path's cost floor
-    without the expensive tail of the chain.
-    """
-    return default_chain()[:2]
 
 
 def check_solution_health(solution: object, n_classes: int) -> str | None:

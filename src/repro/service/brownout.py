@@ -1,8 +1,8 @@
 """Brownout: staged, measurable degradation under overload.
 
-The OBS burst-loss literature frames the pattern this daemon follows:
-when the preferred resource path is exhausted, *convert* the work to a
-cheaper path before dropping it.  The
+The daemon sheds load the way the paper's crossbar does: a request
+that cannot be carried is cleared, never rewritten onto another solver
+(every other solver costs more than the default grid solve).  The
 :class:`ServicePressureController` watches the daemon's own saturation
 signals — admission-gate occupancy, micro-batcher queue depth,
 batch-worker lag, the disk-cache circuit breaker, and (inside a
@@ -17,12 +17,9 @@ stage name                behavior
                           ``shrink_factor`` (blocking probability rises
                           exactly as the multi-rate model predicts for
                           a smaller ``N``)
-2    ``cheap-method``    solves are rewritten to the robust fallback
-                          chain's cheapest path (MVA first); responses
-                          are stamped ``"degraded": true``
-3    ``stale-cache``     only cache hits are served (provenance-stamped
-                          degraded); misses fast-503
-4    ``fast-503``        every solve is cleared before the gate
+2    ``stale-cache``     only cache hits are served (provenance-stamped
+                          ``"degraded": true``); misses fast-503
+3    ``fast-503``        every solve is cleared before the gate
 ==== =================== ===============================================
 
 Escalation and recovery are hysteretic — the score must hold above
@@ -52,7 +49,6 @@ __all__ = [
     "STAGE_NAMES",
     "STAGE_NORMAL",
     "STAGE_ADMISSION_SHRINK",
-    "STAGE_CHEAP_METHOD",
     "STAGE_STALE_CACHE",
     "STAGE_FAST_503",
 ]
@@ -61,14 +57,12 @@ logger = get_logger("service.brownout")
 
 STAGE_NORMAL = 0
 STAGE_ADMISSION_SHRINK = 1
-STAGE_CHEAP_METHOD = 2
-STAGE_STALE_CACHE = 3
-STAGE_FAST_503 = 4
+STAGE_STALE_CACHE = 2
+STAGE_FAST_503 = 3
 
 STAGE_NAMES = (
     "normal",
     "admission-shrink",
-    "cheap-method",
     "stale-cache",
     "fast-503",
 )
@@ -209,18 +203,13 @@ class ServicePressureController:
         return STAGE_NAMES[self.stage]
 
     @property
-    def degrade_method(self) -> bool:
-        """Stage >= 2: rewrite solves onto the cheapest robust path."""
-        return self.stage >= STAGE_CHEAP_METHOD
-
-    @property
     def stale_only(self) -> bool:
-        """Stage 3: serve cache hits only, clear misses."""
+        """Stage 2: serve cache hits only, clear misses."""
         return self.stage == STAGE_STALE_CACHE
 
     @property
     def shedding(self) -> bool:
-        """Stage 4: clear every solve before the gate."""
+        """Stage 3: clear every solve before the gate."""
         return self.stage >= STAGE_FAST_503
 
     def evaluate(self) -> int:

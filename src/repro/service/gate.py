@@ -124,7 +124,7 @@ class AdmissionGate:
         """Clamp and apply a new soft admission limit; returns it.
 
         The limit lives in ``[1, capacity]``: the gate can be shrunk to
-        a trickle but never closed outright (stage 4 of the brownout
+        a trickle but never closed outright (stage 3 of the brownout
         ladder rejects *before* the gate instead), and it can never
         exceed the configured capacity.
         """

@@ -12,7 +12,7 @@ Wire envelopes
 --------------
 * success: ``{"id", "result", "from_cache", "coalesced", "elapsed_ms"}``
 * failure: ``{"id", "error": {"kind": "solve_failed", "error_type",
-  "error_message", "request", "attempts"}}`` — a faithful round-trip of
+  "error_message", "request"}}`` — a faithful round-trip of
   the engine's :class:`~repro.engine.FailedResult` envelope;
 * rejection: ``{"id", "error": {"kind": "admission_rejected",
   "retry_after", ...gate counters}}`` with HTTP 503 and a
@@ -43,7 +43,7 @@ from typing import Any
 
 from ..api import RESULT_SCHEMA_VERSION, SolveRequest, SolveResult
 from ..core.state import SwitchDimensions
-from ..engine import FailedResult, TaskAttempt
+from ..engine import FailedResult
 from ..exceptions import ConfigurationError
 from ..io import class_to_dict
 from ..methods import SolveMethod
@@ -312,13 +312,4 @@ def decode_failed(record: dict) -> FailedResult:
         request=SolveRequest.from_dict(record["request"]),
         error_type=str(record.get("error_type", "ComputationError")),
         error_message=str(record.get("error_message", "")),
-        attempts=tuple(
-            TaskAttempt(
-                attempt=int(a.get("attempt", 0)),
-                outcome=str(a.get("outcome", "error")),
-                elapsed=float(a.get("elapsed", 0.0)),
-                detail=str(a.get("detail", "")),
-            )
-            for a in record.get("attempts", ())
-        ),
     )

@@ -34,7 +34,7 @@ import math
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .. import __version__
@@ -42,7 +42,6 @@ from ..api import SolveRequest, SolveResult
 from ..engine import BatchSolver, get_default_engine, readdressed
 from ..exceptions import ConfigurationError, CrossbarError
 from ..logging import get_logger, kv
-from ..methods import SolveMethod
 from .batcher import BatcherClosedError, MicroBatcher, RequestExpiredError
 from .brownout import (
     STAGE_NAMES,
@@ -92,13 +91,8 @@ SHORT_FLUSH_WORK = 120_000
 
 
 class _EngineRunner:
-    """The daemon's flush runner: one serial engine batch.
-
-    Never a process pool: at the daemon's solve sizes forking one per
-    flush costs more than it saves, and it would fork a multi-threaded
-    process.  :meth:`short` tells the batcher which flushes may run on
-    the event loop.
-    """
+    """The daemon's flush runner: one engine batch.  :meth:`short`
+    tells the batcher which flushes may run on the event loop."""
 
     __slots__ = ("engine",)
 
@@ -106,9 +100,7 @@ class _EngineRunner:
         self.engine = engine
 
     def __call__(self, requests: list[SolveRequest]) -> list[Any]:
-        return self.engine.evaluate_many(
-            requests, parallel=False, strict=False
-        )
+        return self.engine.evaluate_many(requests, strict=False)
 
     def short(self, requests: list[SolveRequest]) -> bool:
         """Whether the batch is cheap enough to run on the loop."""
@@ -302,7 +294,7 @@ class _Instruments:
         )
         for fname in ("requests", "memory_hits", "disk_hits", "grid_groups",
                       "grid_points", "solved", "elapsed", "hit_rate",
-                      "retries", "failed", "breaker_trips"):
+                      "failed", "breaker_trips"):
             last_batch.set(
                 (lambda f=fname: self._last_batch_field(engine, f)),
                 field=fname,
@@ -330,7 +322,7 @@ class _Instruments:
         """Gauges that need the controller/batcher (built after us)."""
         stage = self.registry.gauge(
             "repro_service_brownout_stage",
-            "Brownout ladder stage (0=normal .. 4=fast-503).",
+            "Brownout ladder stage (0=normal .. 3=fast-503).",
         )
         stage.set(lambda: controller.stage)
         pressure = self.registry.gauge(
@@ -823,7 +815,6 @@ class SolveService:
             return self._shed(request_id, "solve")
         if self.brownout.stale_only:
             return self._serve_stale(request_id, request)
-        request, degraded = self._maybe_degrade(request)
         deadline_at = (
             time.monotonic() + budget if budget is not None else None
         )
@@ -858,16 +849,6 @@ class SolveService:
                 },
             })
         elapsed_ms = (time.perf_counter() - began) * 1e3
-        if degraded:
-            reply = {
-                "id": request_id,
-                "result": encode_result(result),
-                "coalesced": coalesced,
-                "from_cache": result.from_cache,
-                "elapsed_ms": elapsed_ms,
-            }
-            self._stamp_degraded(reply)
-            return _Reply(200, reply)
         # Hot path: splice the memoized result fragment into the
         # envelope instead of re-encoding the result dict per request
         # (same bytes json.dumps would emit, without walking the tree).
@@ -905,14 +886,6 @@ class SolveService:
             return self._shed(request_id, "batch")
         if self.brownout.stale_only:
             return self._serve_stale_batch(request_id, requests)
-        degraded = False
-        if self.brownout.degrade_method:
-            rewritten = []
-            for request in requests:
-                request, was_degraded = self._maybe_degrade(request)
-                degraded = degraded or was_degraded
-                rewritten.append(request)
-            requests = rewritten
         deadline_at = (
             time.monotonic() + budget if budget is not None else None
         )
@@ -948,8 +921,6 @@ class SolveService:
             "admission_weight": lease.weight,
             "elapsed_ms": (time.perf_counter() - began) * 1e3,
         }
-        if degraded:
-            self._stamp_degraded(tail)
         return _Reply(200, encode_batch(request_id, results, tail))
 
     def _bad_request(self, request_id: str, message: str) -> _Reply:
@@ -962,21 +933,6 @@ class SolveService:
     # Brownout and deadline envelopes
     # ------------------------------------------------------------------
 
-    def _maybe_degrade(self, request: SolveRequest) -> tuple[SolveRequest, bool]:
-        """Stage >= 2: rewrite the solve onto the cheapest robust path.
-
-        The robust facade's fallback chain is ordered cheapest-first
-        (MVA leads), so ``SolveMethod.ROBUST`` *is* the degraded path —
-        the daemon converts work instead of dropping it.  A request
-        already asking for ROBUST is served as-is and not marked
-        degraded (it got exactly what it asked for).
-        """
-        if not self.brownout.degrade_method:
-            return request, False
-        if request.method is SolveMethod.ROBUST:
-            return request, False
-        return replace(request, method=SolveMethod.ROBUST), True
-
     def _stamp_degraded(self, reply: dict) -> None:
         reply["degraded"] = True
         reply["degraded_stage"] = self.brownout.stage_name
@@ -985,7 +941,7 @@ class SolveService:
         )
 
     def _shed(self, request_id: str, admission_class: str) -> _Reply:
-        """Stage 4: clear the request before it touches the gate."""
+        """Stage 3: clear the request before it touches the gate."""
         self.instruments.brownout_shed.inc(
             **{"class": admission_class}
         )
@@ -1007,7 +963,7 @@ class SolveService:
         }, {"Retry-After": str(max(1, math.ceil(retry_after)))})
 
     def _serve_stale(self, request_id: str, request: SolveRequest) -> _Reply:
-        """Stage 3: a cache hit (stamped degraded) or a fast 503."""
+        """Stage 2: a cache hit (stamped degraded) or a fast 503."""
         hit = self.engine.cached_result(request)
         if hit is None:
             return self._shed(request_id, "solve")
@@ -1024,7 +980,7 @@ class SolveService:
     def _serve_stale_batch(
         self, request_id: str, requests: list[SolveRequest]
     ) -> _Reply:
-        """Stage 3 for ``/batch``: hits served, misses marked failed."""
+        """Stage 2 for ``/batch``: hits served, misses marked failed."""
         items = []
         failures = 0
         for request in requests:

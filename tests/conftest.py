@@ -10,9 +10,7 @@ rationale).  Three profiles:
 * ``dev`` — 10 examples for a fast local loop;
 * ``nightly`` — 200 examples for scheduled deep runs.
 
-Select with ``HYPOTHESIS_PROFILE=dev pytest ...``.  The one deliberate
-exception is :data:`POOL_SETTINGS` for tests that spin up process
-pools, where even a handful of examples dominates suite wall-clock.
+Select with ``HYPOTHESIS_PROFILE=dev pytest ...``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import settings
 
 from repro.core.state import SwitchDimensions
 from repro.core.traffic import TrafficClass
@@ -31,14 +29,6 @@ settings.register_profile(
 settings.register_profile("dev", max_examples=10, deadline=None)
 settings.register_profile("nightly", max_examples=200, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
-
-#: For property tests that launch a process pool per example: the pool
-#: spawn dominates, so the example count stays tiny in every profile.
-POOL_SETTINGS = settings(
-    max_examples=5,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 
 @pytest.fixture

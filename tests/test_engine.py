@@ -370,24 +370,10 @@ class TestEvaluateMany:
             SolveRequest.square(n, classes, SolveMethod.MVA)
             for n in range(3, 7)
         ]
-        engine.evaluate_many(requests, parallel=False)
+        engine.evaluate_many(requests)
         metrics = engine.last_metrics
         assert metrics.grid_groups == 0
         assert metrics.solved == len(requests)
-
-    def test_parallel_results_identical_to_serial(self, classes):
-        requests = [
-            SolveRequest.square(n, classes, SolveMethod.MVA)
-            for n in range(3, 9)
-        ]
-        serial = fresh_engine().evaluate_many(requests, parallel=False)
-        parallel_engine = fresh_engine(processes=2)
-        parallel = parallel_engine.evaluate_many(requests, parallel=True)
-        assert parallel_engine.last_metrics.parallel
-        for s, p in zip(serial, parallel):
-            assert s.blocking == p.blocking
-            assert s.concurrency == p.concurrency
-            assert s.revenue == p.revenue
 
     def test_mixed_methods_and_sizes(self, classes):
         engine = fresh_engine()
@@ -397,7 +383,7 @@ class TestEvaluateMany:
             SolveRequest.square(4, classes, SolveMethod.MVA),
             SolveRequest.square(4, classes),  # duplicate of the first
         ]
-        results = engine.evaluate_many(requests, parallel=False)
+        results = engine.evaluate_many(requests)
         assert results[0].blocking == results[3].blocking
         direct = solve_convolution(SwitchDimensions.square(4), classes)
         assert results[0].blocking == tuple(
@@ -461,15 +447,13 @@ class TestReadThrough:
         ]
         engine = fresh_engine()
         # Load the kernels first: their imports are not the engine's.
-        engine.evaluate_many(
-            [SolveRequest.square(4, mixes[0])], parallel=False
-        )
+        engine.evaluate_many([SolveRequest.square(4, mixes[0])])
         engine.clear()
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            results = engine.evaluate_many(requests, parallel=False)
+            results = engine.evaluate_many(requests)
             del results
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
@@ -494,7 +478,7 @@ class TestReadThrough:
             SolveRequest.create(8, 6, classes),
             SolveRequest.create(6, 8, classes),
         ]
-        grouped = engine.evaluate_many(members, parallel=False)
+        grouped = engine.evaluate_many(members)
         assert len(dispatched) == 1
         assert engine.last_metrics.grid_groups == 1
         for request, result in zip(members, grouped):
@@ -508,9 +492,7 @@ class TestReadThrough:
     ):
         forward = SolveRequest.square(4, classes, method)
         reverse = reversed_order(forward)
-        results = fresh_engine().evaluate_many(
-            [forward, forward, reverse], parallel=False
-        )
+        results = fresh_engine().evaluate_many([forward, forward, reverse])
         assert dispatched == [forward, reverse]
         assert not results[1].from_cache
         assert_hex_equal(results[0], fresh_engine().solve(forward))
@@ -520,9 +502,7 @@ class TestReadThrough:
 
     def test_an_equal_miss_gets_its_twins_result_object(self, classes):
         request = SolveRequest.square(4, classes, SolveMethod.MVA)
-        first, twin = fresh_engine().evaluate_many(
-            [request, request], parallel=False
-        )
+        first, twin = fresh_engine().evaluate_many([request, request])
         assert twin is first and not twin.from_cache
 
     def test_an_equal_miss_keeps_its_own_request(self, classes):
@@ -533,40 +513,19 @@ class TestReadThrough:
             TrafficClass(c.alpha, c.beta, c.mu, c.a, c.weight, name="x")
             for c in classes
         ), SolveMethod.MVA)
-        first, twin = fresh_engine().evaluate_many(
-            [forward, renamed], parallel=False
-        )
+        first, twin = fresh_engine().evaluate_many([forward, renamed])
         assert twin.request is renamed
         assert_hex_equal(twin, first)
 
     def test_pool_maps_each_distinct_miss_once(
-        self, classes, monkeypatch
+        self, classes, dispatched
     ):
-        mapped: list[SolveRequest] = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                mapped.extend(items)
-                return map(fn, items)
-
-        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", InlinePool)
         forward = SolveRequest.square(4, classes, SolveMethod.MVA)
         reverse = reversed_order(forward)
-        engine = fresh_engine(processes=2)
-        results = engine.evaluate_many(
-            [forward, reverse, forward, forward], parallel=True
+        results = fresh_engine().evaluate_many(
+            [forward, reverse, forward, forward]
         )
-        assert engine.last_metrics.parallel
-        assert mapped == [forward, reverse]
+        assert dispatched == [forward, reverse]
         assert results[2] is results[0] and results[3] is results[0]
         assert results[1].request.classes == reverse.classes
 

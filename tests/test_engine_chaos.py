@@ -1,12 +1,11 @@
-"""Chaos harness drills: disk-cache faults and real solver failures
-against full 50-point sweeps, asserting recovery is byte-identical to a
-clean run.
+"""Chaos harness drills: disk-cache faults against full 50-point
+sweeps, asserting recovery is byte-identical to a clean run.
 
 Every solve is a pure function of its request, and ``SolveResult``
 equality deliberately excludes timing/provenance fields — so a batch
 that survived a corrupted or denied cache entry must compare *equal* to
-the fault-free batch, and a batch holding one inadmissible request must
-match it everywhere but that request's slot.
+the fault-free batch.  Real solver failures are drilled serially in
+``test_engine_resilience.py``.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from repro.core.traffic import TrafficClass
 from repro.engine import (
     BatchSolver,
     EngineConfig,
-    FailedResult,
     corrupt_entry,
 )
 from repro.engine.chaos import CacheFaultInjector, ChaosFault, FaultPlan
-from repro.exceptions import ConfigurationError, InvalidParameterError
+from repro.exceptions import ConfigurationError
 from repro.methods import SolveMethod
 
 SEED = 1992  # the paper's year; any seed works, this one is pinned
@@ -54,18 +52,7 @@ def requests(classes):
 @pytest.fixture(scope="module")
 def clean(requests):
     """Fault-free reference results, solved serially (once)."""
-    return BatchSolver(EngineConfig()).evaluate_many(
-        requests, parallel=False
-    )
-
-
-def inadmissible_request() -> SolveRequest:
-    """A real solver failure: a non-integer Bernoulli source count
-    (15.5) whose arrival rate goes negative inside the state space at
-    n = 400, so every solve raises :class:`InvalidParameterError`."""
-    return SolveRequest.square(400, (
-        TrafficClass(0.31, 0.2), TrafficClass(0.155, -0.01, a=2),
-    ))
+    return BatchSolver(EngineConfig()).evaluate_many(requests)
 
 
 class TestFaultPlans:
@@ -92,7 +79,7 @@ class TestCacheCorruptionRecovery:
     ):
         # Pass 1: populate the disk cache.
         warm = BatchSolver(EngineConfig(disk_cache=tmp_path))
-        first = warm.evaluate_many(requests, parallel=False)
+        first = warm.evaluate_many(requests)
         assert first == clean
 
         # Chaos corrupts the seed-chosen victim's entry right before
@@ -110,7 +97,7 @@ class TestCacheCorruptionRecovery:
         engine = BatchSolver(
             EngineConfig(disk_cache=tmp_path, chaos=plan)
         )
-        results = engine.evaluate_many(requests, parallel=False)
+        results = engine.evaluate_many(requests)
         assert results == clean
         assert engine.disk.fault_hook.fired == [
             ("cache-corrupt", "load", victim_key)
@@ -133,33 +120,6 @@ class TestCacheCorruptionRecovery:
             corrupt_entry(disk_engine.disk, "never-stored-key")
 
 
-class TestPermanentFailure:
-    def test_parallel_batch_isolates_a_permanent_failure(
-        self, requests, clean
-    ):
-        victim = 7
-        batch = requests[:10]  # nine good points and the victim
-        batch[victim] = inadmissible_request()
-        engine = BatchSolver(EngineConfig(processes=2))
-        results = engine.evaluate_many(batch, parallel=True)
-        assert engine.last_metrics.parallel
-        failure = results[victim]
-        assert isinstance(failure, FailedResult)
-        assert failure.error_type == "InvalidParameterError"
-        assert [a.outcome for a in failure.attempts] == ["error"]
-        others = [r for i, r in enumerate(results) if i != victim]
-        expected = [r for i, r in enumerate(clean[:10]) if i != victim]
-        assert others == expected
-        assert engine.last_metrics.failed == 1
-
-    def test_parallel_strict_reraises(self, requests):
-        batch = requests[:10]
-        batch[7] = inadmissible_request()
-        engine = BatchSolver(EngineConfig(processes=2))
-        with pytest.raises(InvalidParameterError):
-            engine.evaluate_many(batch, parallel=True, strict=True)
-
-
 class TestBreakerUnderChaos:
     def test_cache_denies_trip_the_breaker_mid_sweep(
         self, tmp_path, requests, clean
@@ -175,7 +135,7 @@ class TestBreakerUnderChaos:
                 breaker_cooldown=3600.0,
             )
         )
-        results = engine.evaluate_many(requests[:10], parallel=False)
+        results = engine.evaluate_many(requests[:10])
         assert results == clean[:10]
         metrics = engine.last_metrics
         assert metrics.breaker_trips == 1

@@ -1,9 +1,8 @@
 """Property tests: the engine's execution paths are byte-identical.
 
 Whatever path a request takes through :class:`BatchSolver` — a fresh
-solve, a memory or disk cache hit, a shared Q-grid read, or a process
-pool worker — the returned measures must be the *same floats*, bit for
-bit.  Hypothesis drives randomized traffic mixes and switch sizes
+solve, a memory or disk cache hit or a shared Q-grid read — the
+returned measures must be the *same floats*, bit for bit.  Hypothesis drives randomized traffic mixes and switch sizes
 through each pair of paths and compares ``float.hex()`` renderings.
 """
 
@@ -13,15 +12,12 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
-
-from tests.conftest import POOL_SETTINGS
 
 from repro.api import SolveRequest, SolveResult
 from repro.core.traffic import TrafficClass
 from repro.engine import BatchSolver, EngineConfig
-from repro.exceptions import CrossbarError
 
 
 def result_bits(result: SolveResult) -> tuple:
@@ -86,9 +82,7 @@ def test_disk_cache_round_trip_is_lossless(n, classes, tmp_path_factory):
 @given(ns=sizes, classes=mixes)
 def test_grid_sharing_equals_point_solves(ns, classes):
     requests = [SolveRequest.square(n, tuple(classes)) for n in ns]
-    shared = BatchSolver(EngineConfig()).evaluate_many(
-        requests, parallel=False
-    )
+    shared = BatchSolver(EngineConfig()).evaluate_many(requests)
     point = [BatchSolver(EngineConfig()).solve(r) for r in requests]
     assert [result_bits(s) for s in shared] == [result_bits(p) for p in point]
 
@@ -135,33 +129,7 @@ def test_grid_reads_equal_point_solves_smooth_wide_rectangular(
     classes = (smooth, wide, *rest)
     requests = [SolveRequest.create(n1, n2, classes) for n1, n2 in points]
     engine = BatchSolver(EngineConfig())
-    shared = engine.evaluate_many(requests, parallel=False)
+    shared = engine.evaluate_many(requests)
     assert engine.last_metrics.grid_points == len(requests)
     point = [BatchSolver(EngineConfig()).solve(r) for r in requests]
     assert [result_bits(s) for s in shared] == [result_bits(p) for p in point]
-
-
-@given(ns=sizes, classes=mixes)
-@POOL_SETTINGS
-def test_parallel_equals_serial(ns, classes):
-    # Unscaled-float requests cannot share a grid, so every miss goes
-    # through the pool — the strongest exercise of worker-vs-inline
-    # identity.
-    requests = [
-        SolveRequest.square(n, tuple(classes), "convolution-float")
-        for n in ns
-    ]
-    try:
-        serial = BatchSolver(EngineConfig()).evaluate_many(
-            requests, parallel=False
-        )
-    except CrossbarError:
-        # The unscaled recurrence legitimately over/underflows on some
-        # generated mixes; identity is only meaningful when solvable.
-        assume(False)
-    parallel = BatchSolver(EngineConfig(processes=2)).evaluate_many(
-        requests, parallel=True
-    )
-    assert [result_bits(s) for s in serial] == [
-        result_bits(p) for p in parallel
-    ]

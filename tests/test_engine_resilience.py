@@ -183,19 +183,18 @@ class TestSupervisedBatches:
     def test_permanent_failure_yields_failed_result(self, classes):
         engine = fresh_engine()
         batch = batch_with_failure(classes)
-        results = engine.evaluate_many(batch, parallel=False)
+        results = engine.evaluate_many(batch)
         assert not engine.last_metrics.parallel
         failure = results[VICTIM]
         assert isinstance(failure, FailedResult)
         assert failure.request == batch[VICTIM]
         assert failure.error_type == "InvalidParameterError"
         assert "non-integer source count" in failure.error_message
-        assert [a.outcome for a in failure.attempts] == ["error"]
-        assert failure.attempts[0].detail.startswith(
-            "InvalidParameterError"
-        )
+        assert set(failure.to_dict()) == {
+            "request", "error_type", "error_message",
+        }
         good = batch[:VICTIM] + batch[VICTIM + 1:]
-        clean = fresh_engine().evaluate_many(good, parallel=False)
+        clean = fresh_engine().evaluate_many(good)
         assert results[:VICTIM] + results[VICTIM + 1:] == clean
         assert engine.last_metrics.failed == 1
         assert engine.last_metrics.retries == 0
@@ -205,28 +204,18 @@ class TestSupervisedBatches:
     def test_strict_mode_reraises(self, classes):
         with pytest.raises(InvalidParameterError):
             fresh_engine().evaluate_many(
-                batch_with_failure(classes), parallel=False, strict=True
+                batch_with_failure(classes), strict=True
             )
 
     def test_solve_many_strict_passthrough(self, classes):
         engine = fresh_engine()
         requests = batch_with_failure(classes)
-        results = solve_many(requests, engine=engine, parallel=False)
+        results = solve_many(requests, engine=engine)
         assert isinstance(results[VICTIM], FailedResult)
         with pytest.raises(InvalidParameterError):
             solve_many(
-                requests, engine=engine, parallel=False, strict=True
+                requests, engine=engine, strict=True
             )
-
-    def test_unsupervised_config_uses_plain_fanout(self, classes):
-        engine = fresh_engine(processes=2)
-        requests = mva_requests(classes, [3, 4, 5, 6])
-        clean = fresh_engine().evaluate_many(requests, parallel=False)
-        results = engine.evaluate_many(requests, parallel=True)
-        assert engine.last_metrics.parallel
-        # SolveResult equality ignores elapsed/from_cache, so this is
-        # the byte-identity claim for the numbers.
-        assert results == clean
 
 
 # ----------------------------------------------------------------------
@@ -291,9 +280,7 @@ class TestDiskCacheHardening:
             EngineConfig(disk_cache=tmp_path, breaker_threshold=2)
         )
         assert engine.disk.breaker is not None
-        engine.evaluate_many(
-            mva_requests(classes, [3, 4]), parallel=False
-        )
+        engine.evaluate_many(mva_requests(classes, [3, 4]))
         metrics = engine.last_metrics
         assert metrics.breaker_state == STATE_CLOSED
         assert metrics.breaker_trips == 0

@@ -2,8 +2,8 @@
 
 ``import repro`` and the daemon's entry points (``repro.cli`` plus
 ``repro.service.server``) must not load scipy or the analysis-only
-packages, and a one-worker daemon must not load the client or the fleet
-supervisor.  Answering requests must not import them either: a deferred
+packages, and a one-worker daemon must not load the client, the fleet
+supervisor, a process pool or the package-metadata reader.  Answering requests must not import them either: a deferred
 import that moved onto the request path would trade cold-start time for
 first-request latency.  The daemon also starts without the solvers and
 analyses its default method does not use, and then serves a
@@ -41,6 +41,9 @@ IMPORT_BUDGET = (
     "repro.reporting",
     "repro.service.client",
     "repro.service.cluster",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "importlib.metadata",
 )
 
 #: Modules a serving process must not load at startup.  Their own

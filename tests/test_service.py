@@ -39,7 +39,7 @@ from repro.service import (
     SolveService,
     start_in_thread,
 )
-from repro.service.brownout import STAGE_CHEAP_METHOD, STAGE_STALE_CACHE
+from repro.service.brownout import STAGE_STALE_CACHE
 from repro.service.httpio import HttpRequest
 from repro.service.protocol import (
     decode_request,
@@ -824,8 +824,6 @@ BATCH_REPLY_CASES = {
         None, (1, 0),
     ),
     "coalesced": (lambda: sweep_records((4, 5, 4)), None, (0, 1)),
-    "degraded": (lambda: sweep_records((4, 5, 6)), STAGE_CHEAP_METHOD,
-                 (0, 0)),
     "stale-only": (lambda: sweep_records((4, 5)), STAGE_STALE_CACHE,
                    (1, 0)),
 }

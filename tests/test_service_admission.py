@@ -29,7 +29,7 @@ pytestmark = pytest.mark.service  # spins up the solve-serving daemon
 
 from repro.api import SolveRequest, solve
 from repro.core.traffic import TrafficClass
-from repro.engine import BatchSolver, EngineConfig, FailedResult, TaskAttempt
+from repro.engine import BatchSolver, EngineConfig, FailedResult
 from repro.service import (
     AdmissionGate,
     AdmissionRejectedError,
@@ -254,7 +254,6 @@ def test_failed_leader_resolves_followers_with_failed_result():
         request=request,
         error_type="ConvergenceError",
         error_message="injected terminal failure",
-        attempts=(TaskAttempt(1, "error", 0.01, "injected"),),
     )
     handle = start_in_thread(
         ServiceConfig(port=0, batch_window=0.05),
@@ -283,7 +282,7 @@ def test_failed_leader_resolves_followers_with_failed_result():
             assert isinstance(error, RemoteSolveError)
             assert error.failed.error_type == "ConvergenceError"
             assert error.failed.error_message == "injected terminal failure"
-            assert error.failed.attempts[0].outcome == "error"
+            assert error.failed.request == request
         assert handle.service.flights.hits >= 1, "followers coalesced"
         assert len(handle.service.flights) == 0, "flight evicted"
         assert handle.service.gate.in_use == 0, "all tokens released"

@@ -4,21 +4,20 @@ to end.
 Controller units cover the hysteresis (raise-after / lower-after
 consecutive evaluations), the gate-limit side effects, and the forced
 overrides.  The end-to-end walk drives a live daemon through
-admission-shrink -> cheap-method -> stale-cache -> fast-503 and back,
+admission-shrink -> stale-cache -> fast-503 and back,
 asserting the wire contract of every stage and that each transition
 lands on ``/metrics``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 
 import pytest
 
 pytestmark = pytest.mark.service  # spins up the solve-serving daemon
 
-from repro.api import SolveMethod, SolveRequest, solve
+from repro.api import SolveRequest, solve
 from repro.core.traffic import TrafficClass
 from repro.engine import BatchSolver, EngineConfig
 from repro.exceptions import ConfigurationError
@@ -34,7 +33,6 @@ from repro.service import (
 )
 from repro.service.brownout import (
     STAGE_ADMISSION_SHRINK,
-    STAGE_CHEAP_METHOD,
     STAGE_FAST_503,
     STAGE_NORMAL,
     STAGE_STALE_CACHE,
@@ -160,7 +158,7 @@ def test_stage1_shrinks_gate_limit_and_recovery_restores_it():
     assert gate.limit == 5
     # The shrunken limit holds for the whole degraded ladder ...
     controller.evaluate()
-    assert controller.stage == STAGE_CHEAP_METHOD
+    assert controller.stage == STAGE_STALE_CACHE
     assert gate.limit == 5
     # ... and only a full recovery to stage 0 restores it.
     pin_pressure(controller, 0.1)
@@ -312,32 +310,18 @@ def test_full_ladder_walk_end_to_end(handle):
     assert decode_equal(envelope, local)
     assert service.gate.limit == service.gate.capacity
 
-    # Stage 1 (admission-shrink): limit halves, answers stay exact.
+    # Stage 1 (admission-shrink): limit halves, answers stay exact; a
+    # miss is solved by the method it asked for, never rewritten.
     set_stage(handle, STAGE_ADMISSION_SHRINK)
     assert service.gate.limit == 4
     envelope = client.solve_raw(cached)
     assert "degraded" not in envelope
     assert decode_equal(envelope, local)
-
-    # Stage 2 (cheap-method): rewritten to the robust chain's cheapest
-    # path, provenance-stamped, and byte-identical to a *local* solve
-    # of the rewritten request.
-    set_stage(handle, STAGE_CHEAP_METHOD)
     envelope = client.solve_raw(uncached)
-    assert envelope["degraded"] is True
-    assert envelope["degraded_stage"] == "cheap-method"
-    robust_local = solve(
-        dataclasses.replace(uncached, method=SolveMethod.ROBUST)
-    )
-    assert decode_equal(envelope, robust_local)
-    # A request that already asked for ROBUST is not "degraded".
-    already_robust = dataclasses.replace(
-        point_request(5), method=SolveMethod.ROBUST
-    )
-    envelope = client.solve_raw(already_robust)
     assert "degraded" not in envelope
+    assert decode_equal(envelope, solve(uncached))
 
-    # Stage 3 (stale-cache): the stage-0 hit is served from cache with
+    # Stage 2 (stale-cache): the stage-0 hit is served from cache with
     # the degraded stamp; a cold request fast-503s without solving.
     set_stage(handle, STAGE_STALE_CACHE)
     lookups_before = service.engine.stats.snapshot()["solves"]
@@ -353,7 +337,7 @@ def test_full_ladder_walk_end_to_end(handle):
     assert excinfo.value.retry_after >= 0.0
     assert service.engine.stats.snapshot()["solves"] == lookups_before
 
-    # Stage 4 (fast-503): everything is cleared before the gate.
+    # Stage 3 (fast-503): everything is cleared before the gate.
     set_stage(handle, STAGE_FAST_503)
     offered_before = service.gate.offered
     with pytest.raises(AdmissionRejectedError) as excinfo:
@@ -405,20 +389,21 @@ def test_brownout_observable_in_health_and_metrics(handle):
                                       "breaker", "overall"}
     assert health["gate"]["limit"] == service.gate.capacity
 
+    client.solve(point_request(4))              # cached at stage 0
     set_stage(handle, STAGE_ADMISSION_SHRINK)
-    set_stage(handle, STAGE_CHEAP_METHOD)
+    set_stage(handle, STAGE_STALE_CACHE)
     client.solve_raw(point_request(4))          # degraded response
     set_stage(handle, STAGE_FAST_503)
     with pytest.raises(AdmissionRejectedError):
         client.solve(point_request(4))          # shed
 
-    assert client.metric_value("repro_service_brownout_stage") == 4.0
+    assert client.metric_value("repro_service_brownout_stage") == 3.0
     assert client.metric_value(
         "repro_service_brownout_transitions_total",
         **{"from": "normal", "to": "admission-shrink"},
     ) >= 1.0
     assert client.metric_value(
-        "repro_service_degraded_responses_total", stage="cheap-method"
+        "repro_service_degraded_responses_total", stage="stale-cache"
     ) >= 1.0
     assert client.metric_value(
         "repro_service_brownout_shed_total", **{"class": "solve"}
