@@ -134,7 +134,7 @@ __getattr__, __dir__ = _lazy.lazy_exports(
 )
 
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AsymptoticSolution",

@@ -23,8 +23,11 @@ True
   :class:`PerformanceSolution` it holds no grids, so it is cheap to
   cache on disk and to ship across process boundaries.
 * :func:`solve` / :func:`solve_many` — evaluate requests through the
-  process-wide default :class:`~repro.engine.BatchSolver`; batches get
-  Q-grid sharing and memoization.
+  ``engine=`` passed, else the library's default
+  :class:`~repro.engine.BatchSolver` (``get_default_engine()``, built
+  once and never swapped); batches get Q-grid sharing and memoization.
+  A daemon or a CLI command owns its own engine, so these calls never
+  touch its cache or counters.
 """
 
 from __future__ import annotations
@@ -434,7 +437,7 @@ def _aggregates(
 def solve(
     request: SolveRequest, *, engine: "BatchSolver | None" = None
 ) -> SolveResult:
-    """Solve one request through the (default) batched engine.
+    """Solve one request through ``engine`` or the default engine.
 
     The engine memoizes: repeated calls with an equivalent request are
     served from cache.

@@ -563,9 +563,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "solve":
         from .api import SolveRequest
-        from .engine import get_default_engine
+        from .engine import BatchSolver
 
-        solution = get_default_engine().solution_for(
+        solution = BatchSolver().solution_for(
             SolveRequest(dims, tuple(classes), args.method)
         )
         if args.as_json:
@@ -739,7 +739,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .api import SolveRequest
-    from .engine import get_default_engine
+    from .engine import BatchSolver
     from .reporting.tables import format_table
 
     if args.requests:
@@ -786,7 +786,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             for n in sizes
         ]
 
-    engine = get_default_engine()
+    engine = BatchSolver()
     results = engine.evaluate_many(requests)
     metrics = engine.last_metrics
 

@@ -77,7 +77,11 @@ __all__ = [
 ]
 
 #: Counter of log-sweep fallbacks taken by :func:`sweep_scaled`
-#: (diagnostic; read through :func:`scaled_fallback_count`).
+#: (diagnostic; read through :func:`scaled_fallback_count`).  It is
+#: the one module-level name under ``core/`` and ``engine/`` reassigned
+#: after import, and the only process-wide figure a daemon exports
+#: (``repro_kernel_scaled_fallbacks``); it stays while the layered
+#: benchmark's tracer (``benchmarks/layers``) reads it.
 _SCALED_FALLBACKS = 0
 
 

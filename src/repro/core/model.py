@@ -99,9 +99,9 @@ class CrossbarModel:
         return the same :class:`PerformanceSolution` interface and agree
         to within floating-point error (the test suite asserts this).
 
-        This is now a thin delegate over the process-wide batched
-        engine (:mod:`repro.engine`): repeated solves of an equivalent
-        model are served from its memo.
+        This is now a thin delegate over the library's default engine
+        (:func:`repro.engine.get_default_engine`): repeated solves of
+        an equivalent model are served from its memo.
         """
         from ..api import SolveRequest
         from ..engine import get_default_engine

@@ -20,8 +20,6 @@ from .batch import (
     FailedResult,
     get_default_engine,
     readdressed,
-    reset_default_engine,
-    set_default_engine,
     sliced_solution,
 )
 from .breaker import (
@@ -69,8 +67,6 @@ __all__ = [
     "FailedResult",
     "get_default_engine",
     "readdressed",
-    "reset_default_engine",
-    "set_default_engine",
     "sliced_solution",
     "BreakerEvent",
     "CircuitBreaker",

@@ -44,6 +44,7 @@ injection lives in :mod:`repro.engine.chaos`.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -74,8 +75,6 @@ __all__ = [
     "FailedResult",
     "get_default_engine",
     "readdressed",
-    "set_default_engine",
-    "reset_default_engine",
 ]
 
 logger = get_logger("engine.batch")
@@ -944,32 +943,26 @@ class BatchSolver:
 
 
 # ----------------------------------------------------------------------
-# The process-wide default engine
+# The library's default engine
 # ----------------------------------------------------------------------
 
-_default_engine: BatchSolver | None = None
 _default_lock = threading.Lock()
 
 
+@functools.cache
+def _build_default_engine() -> BatchSolver:
+    return BatchSolver()
+
+
 def get_default_engine() -> BatchSolver:
-    """The shared engine every thin delegate routes through."""
-    global _default_engine
+    """The engine the library convenience layer routes through.
+
+    Built once, on first use, and never replaced: ``solve`` and
+    ``solve_many`` without an engine, the full-solution delegates
+    (``CrossbarModel.solve``, sweeps, validation, degraded and
+    multistage analysis, pure ``solve_robust``) share its memo.  A
+    daemon or a CLI command builds its own engine instead, so its
+    counters and cache describe only what it served.
+    """
     with _default_lock:
-        if _default_engine is None:
-            _default_engine = BatchSolver()
-        return _default_engine
-
-
-def set_default_engine(engine: BatchSolver) -> BatchSolver:
-    """Swap the process-wide engine (returns the previous one)."""
-    global _default_engine
-    with _default_lock:
-        previous, _default_engine = _default_engine, engine
-    return previous if previous is not None else engine
-
-
-def reset_default_engine() -> None:
-    """Drop the process-wide engine (a fresh one is built lazily)."""
-    global _default_engine
-    with _default_lock:
-        _default_engine = None
+        return _build_default_engine()

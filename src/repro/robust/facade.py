@@ -267,10 +267,11 @@ def solve_robust(
 
     With every knob at its default the call is *pure* (a deterministic
     function of ``dims`` and ``classes``), so it is memoized through the
-    process-wide batched engine (:mod:`repro.engine`) — repeated robust
-    solves of the same model, e.g. across availability-weighted degraded
-    scenarios, cost one chain run.  Custom chains, budgets, or clocks
-    bypass the cache and run directly.
+    library's default engine (:func:`repro.engine.get_default_engine`)
+    — repeated robust solves of the same model, e.g. across
+    availability-weighted degraded scenarios, cost one chain run.
+    Custom chains, budgets, or clocks bypass the cache and run
+    directly.
 
     Parameters
     ----------

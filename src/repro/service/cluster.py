@@ -48,7 +48,6 @@ lifecycle (:mod:`repro.service.server`).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -111,16 +110,9 @@ def _worker_main(
     single-process, shard index stamped, an ephemeral port on the
     worker interface.
     """
-    if cache_dir:
-        # Both spellings so the engine's own from_env picks it up and
-        # explicit construction below stays authoritative.
-        os.environ["REPRO_ENGINE_CACHE_DIR"] = cache_dir
-    engine_config = EngineConfig.from_env()
-    if cache_dir:
-        engine_config = dataclasses.replace(
-            engine_config, disk_cache=cache_dir
-        )
-    engine = BatchSolver(engine_config)
+    engine = BatchSolver(
+        EngineConfig(disk_cache=cache_dir) if cache_dir else None
+    )
 
     def on_started(service: Any) -> None:
         ready_queue.put(("ready", shard, service.port, os.getpid()))

@@ -39,7 +39,7 @@ from typing import Any, Callable
 
 from .. import __version__
 from ..api import SolveRequest, SolveResult
-from ..engine import BatchSolver, get_default_engine, readdressed
+from ..engine import BatchSolver, readdressed
 from ..exceptions import ConfigurationError, CrossbarError
 from ..logging import get_logger, kv
 from .batcher import BatcherClosedError, MicroBatcher, RequestExpiredError
@@ -152,12 +152,14 @@ class _Connections(dict):
         finally:
             if deadline is not None:
                 deadline.close()
-            self.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            # Popped only now: ``stop`` waits for an empty map, and the
+            # loop must not close under a handler still in wait_closed.
+            self.pop(writer, None)
 
 
 class _Instruments:
@@ -363,12 +365,10 @@ class _Instruments:
 
     @staticmethod
     def _breaker_state(engine: BatchSolver) -> str:
-        metrics = engine.last_metrics
-        if metrics is not None:
-            return metrics.breaker_state
-        if engine.disk is not None and engine.disk.breaker is not None:
-            return engine.disk.breaker.state
-        return "disabled"
+        # The live breaker, as brownout reads it (not a flush snapshot);
+        # an empty DiskCache is falsy, hence ``is not None``.
+        disk = engine.disk
+        return disk.breaker.state if disk is not None else "disabled"
 
 
 @dataclass
@@ -389,7 +389,7 @@ class SolveService:
         engine: BatchSolver | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.engine = engine if engine is not None else get_default_engine()
+        self.engine = engine if engine is not None else BatchSolver()
         self.gate = AdmissionGate(self.config.gate_capacity)
         self.flights = SingleFlight()
         self.registry = MetricsRegistry()

@@ -1,7 +1,8 @@
 """Generic parameter-sweep helpers used by examples and benchmarks.
 
-All helpers route their solves through the process-wide batched engine
-(:mod:`repro.engine`).  Two structural savings follow:
+All helpers route their solves through the library's default engine
+(:func:`repro.engine.get_default_engine`), so their memo spans calls
+but never reaches a daemon's engine.  Two structural savings follow:
 
 * repeated probes of the same model (bisection revisiting a size, a
   load appearing in two sweeps) are cache hits;

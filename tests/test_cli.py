@@ -267,17 +267,9 @@ class TestServeCommand:
 
 
 class TestResilienceFlags:
-    @pytest.fixture(autouse=True)
-    def restore_engine(self):
-        from repro.engine import reset_default_engine
-
-        yield
-        reset_default_engine()
-
     def test_no_flags_leave_engine_untouched(self):
-        from repro.engine import get_default_engine, set_default_engine
+        from repro.engine import get_default_engine
 
         sentinel = get_default_engine()
         assert main(["table1"]) == 0
         assert get_default_engine() is sentinel
-        set_default_engine(sentinel)

@@ -15,6 +15,7 @@ import asyncio
 import dataclasses
 import gc
 import json
+import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -1318,6 +1319,48 @@ def test_stop_is_idempotent():
     handle.stop()
     handle.stop()  # second stop is a no-op
     assert not handle.thread.is_alive()
+
+
+def test_stop_leaves_no_connection_handler_pending(caplog):
+    """``stop`` waits until every connection handler has left
+    ``wait_closed``: a loop closed under a suspended handler makes
+    asyncio log "Task was destroyed but it is pending!".  Without a
+    brownout task to cancel, ``stop`` itself need not yield once."""
+    request = SolveRequest.square(3, [TrafficClass.poisson(0.02)])
+    config = ServiceConfig(port=0, brownout=BrownoutConfig(enabled=False))
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        for _ in range(10):
+            with start_in_thread(
+                config, engine=BatchSolver(EngineConfig())
+            ) as h:
+                client = ServiceClient(*h.address)
+                for _ in range(3):
+                    client.solve(request)
+            gc.collect()
+    pending = [
+        r for r in caplog.records
+        if r.name == "asyncio" and "destroyed but it is pending" in
+        r.getMessage()
+    ]
+    assert pending == []
+
+
+def test_breaker_gauge_reads_the_live_breaker(tmp_path):
+    """``repro_engine_breaker_state`` follows the breaker itself, as the
+    brownout controller does, not the last flush's snapshot."""
+    engine = BatchSolver(EngineConfig(disk_cache=tmp_path / "cache"))
+    with start_in_thread(engine=engine) as handle:
+        client = ServiceClient(*handle.address)
+        client.solve(SolveRequest.square(4, [TrafficClass.poisson(0.02)]))
+        assert engine.last_metrics.breaker_state == "closed"
+        for _ in range(engine.config.breaker_threshold):
+            engine.disk.breaker.record_failure("test: forced open")
+        assert engine.disk.breaker.state == "open"
+        state = {
+            s: client.metric_value("repro_engine_breaker_state", state=s)
+            for s in ("closed", "open")
+        }
+    assert state == {"closed": 0.0, "open": 1.0}
 
 
 def test_service_config_validation():

@@ -329,11 +329,7 @@ class TestFindSizeEngineEquivalence:
         # bisection probe is an O(1) ratio read off it — the engine
         # records exactly one solve for the whole search.
         from repro.core.convolution import solve_convolution
-        from repro.engine import (
-            BatchSolver,
-            EngineConfig,
-            set_default_engine,
-        )
+        from repro.engine import get_default_engine
 
         classes = [TrafficClass.poisson(0.001, name="data")]
 
@@ -349,14 +345,12 @@ class TestFindSizeEngineEquivalence:
             * 1.000001
         )
 
-        engine = BatchSolver(EngineConfig())
-        previous = set_default_engine(engine)
-        try:
-            found = find_size_for_blocking(classes_for, target, n_max=32)
-        finally:
-            set_default_engine(previous)
+        engine = get_default_engine()
+        engine.clear()
+        solves_before = engine.stats.solves
+        found = find_size_for_blocking(classes_for, target, n_max=32)
         expected = _reference_find_size(classes_for, target, n_max=32)
         assert found == expected
-        assert engine.stats.solves == 1, (
+        assert engine.stats.solves - solves_before == 1, (
             "constant-mix bisection must be served by a single Q-grid solve"
         )
