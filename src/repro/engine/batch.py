@@ -785,7 +785,9 @@ class BatchSolver:
 
         ``memory_only=True`` skips the disk tier entirely — the serving
         daemon's cache-hot fast path calls this *on the event loop*, so
-        it must never block on file I/O.
+        it must never block on file I/O.  It counts only a hit: a miss
+        goes on to :meth:`evaluate_many`, which counts its lookup (for
+        every request coalesced onto it, once).
         """
         if not isinstance(request, SolveRequest):
             raise ConfigurationError(
@@ -794,7 +796,6 @@ class BatchSolver:
         if memory_only:
             hit = self._results.get(request.cache_key)
             if hit is None:
-                self.stats._add(lookups=1)
                 return None
             self.stats._add(lookups=1, memory_hits=1)
             return self._served(request.cache_key, hit, request)
@@ -804,8 +805,9 @@ class BatchSolver:
         self, requests: Sequence[SolveRequest]
     ) -> list[SolveResult | None]:
         """``cached_result(request, memory_only=True)`` for every
-        request, in order, counted in ``stats`` once: the daemon's fast
-        path for the members of a ``/batch``."""
+        request, in order, its hits counted in ``stats`` at once: the
+        daemon's fast path for the members of a ``/batch``.  As there,
+        a miss is left for :meth:`evaluate_many` to count."""
         found: list[SolveResult | None] = []
         hits = 0
         for request in requests:
@@ -820,7 +822,8 @@ class BatchSolver:
                 hit = self._served(key, hit, request)
                 hits += 1
             found.append(hit)
-        self.stats._add(lookups=len(found), memory_hits=hits)
+        if hits:
+            self.stats._add(lookups=hits, memory_hits=hits)
         return found
 
     def _lookup(self, key: str, request: SolveRequest) -> SolveResult | None:

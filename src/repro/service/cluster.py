@@ -39,7 +39,8 @@ multiplies throughput — parallel independent fabric paths:
   /cluster`` publishes the shard map so smart clients can route
   themselves.
 
-Entry points: :func:`serve_cluster` (CLI), and
+The router answers through the daemon's own HTTP front and keeps only
+its routes.  Entry points: :func:`serve_cluster` (CLI), and
 :func:`start_cluster_in_thread` -> :class:`ClusterHandle` for tests
 and benchmarks.  Both host the supervisor through the daemon's own
 lifecycle (:mod:`repro.service.server`).
@@ -65,18 +66,17 @@ from ..engine.breaker import CircuitBreaker
 from ..exceptions import ConfigurationError
 from ..logging import get_logger, kv
 from .config import ServiceConfig
-from .httpio import (
-    HttpError,
-    HttpRequest,
-    ReadDeadline,
-    read_request,
-    write_response,
-)
-from .protocol import decode_first_request, decode_request, new_request_id
+from .httpio import HttpRequest
+from .metrics import MetricsRegistry
+from .protocol import decode_first_request, decode_request
 from .server import (
     _MEMO_CAP,
     ServiceHandle,
-    _Connections,
+    _error,
+    _HttpFront,
+    _method_not_allowed,
+    _not_found,
+    _Reply,
     _serve_async,
     _start_hosted,
     serve,
@@ -225,10 +225,6 @@ async def _read_reply(
     return status, headers, body
 
 
-def _json(payload: dict) -> bytes:
-    return json.dumps(payload).encode("utf-8")
-
-
 def _label_shard(text: str, shard: int, keep_comments: bool) -> str:
     """Inject ``shard="i"`` into every Prometheus sample line."""
     label = f'shard="{shard}"'
@@ -252,13 +248,13 @@ def _label_shard(text: str, shard: int, keep_comments: bool) -> str:
 # ----------------------------------------------------------------------
 
 
-class ClusterSupervisor:
+class ClusterSupervisor(_HttpFront):
     """Owns the worker fleet and the routing front door."""
 
     def __init__(self, config: ServiceConfig) -> None:
         if config.cluster.workers < 1:
             raise ConfigurationError("a cluster needs at least one worker")
-        self.config = config
+        super().__init__(config)
         self.cluster = config.cluster
         self.ring = HashRing(
             self.cluster.workers, self.cluster.hash_replicas
@@ -267,10 +263,7 @@ class ClusterSupervisor:
         self._ready: Any = self._ctx.Queue()
         self.workers: dict[int, _Worker] = {}
         self._pools: dict[int, _WorkerPool] = {}
-        self._router: asyncio.base_events.Server | None = None
         self._health_task: asyncio.Task | None = None
-        self._draining = False
-        self._conn_busy = _Connections()
         self._started_at = time.monotonic()
         self._route_cache: dict[bytes, tuple[int, ...]] = {}
         #: requests proxied per shard (balance checks in smoke tests).
@@ -312,9 +305,7 @@ class ClusterSupervisor:
         for shard in range(self.cluster.workers):
             self._spawn(shard)
         await self._collect_ready(set(range(self.cluster.workers)))
-        self._router = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await self._listen()
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop(), name="repro-cluster-health"
         )
@@ -497,22 +488,12 @@ class ClusterSupervisor:
         ``config.drain_timeout``): the router stops accepting and
         answers every request it already took, then each worker gets
         one SIGTERM, finishes what it admitted, and exits."""
-        self._draining = True
-        if self._router is not None:
-            self._router.close()
-            self._router = None
+        self._stop_accepting()
         budget = (
             self.config.drain_timeout if timeout is None else timeout
         )
         deadline = time.monotonic() + budget
-        clean = True
-        self._conn_busy.close_idle()
-        while self._conn_busy.busy:
-            if time.monotonic() >= deadline:
-                clean = False
-                break
-            self._conn_busy.close_idle()
-            await asyncio.sleep(0.005)
+        clean = await self._settle(deadline)
         for worker in self.workers.values():
             if worker.alive:
                 worker.process.terminate()  # SIGTERM -> worker drain
@@ -527,7 +508,7 @@ class ClusterSupervisor:
         if not clean:
             logger.warning(
                 "fleet drain timed out %s",
-                kv(budget=budget, connections=self._conn_busy.busy),
+                kv(budget=budget, connections=sum(self._conn_busy.values())),
             )
         else:
             logger.info("fleet drained %s", kv(budget=budget))
@@ -544,11 +525,7 @@ class ClusterSupervisor:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._router is not None:
-            self._router.close()
-            self._router = None
-        for writer in list(self._conn_busy):
-            writer.close()
+        await self._close_front()
         for pool in self._pools.values():
             pool.close()
         self._pools.clear()
@@ -565,21 +542,7 @@ class ClusterSupervisor:
             self.proxied.values()
         )))
 
-    async def serve_forever(self) -> None:
-        await self._router.serve_forever()
-
     # -- addressing -----------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def port(self) -> int:
-        """The public port (resolves ``port=0`` through the router)."""
-        if self._router is not None and self._router.sockets:
-            return self._router.sockets[0].getsockname()[1]
-        return self.config.port
 
     def _slot_state(self, worker: _Worker) -> str:
         if worker.dead:
@@ -653,75 +616,22 @@ class ClusterSupervisor:
             self._route_cache[body] = preference
         return preference
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._conn_busy.serve(
-            reader, writer, self._serve_one, self.config.read_timeout
-        )
-
-    async def _serve_one(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        deadline: ReadDeadline | None,
-    ) -> bool:
-        request_id = new_request_id()
-        try:
-            http = await read_request(reader, deadline=deadline)
-        except HttpError as exc:
-            await write_response(
-                writer, exc.status,
-                _json({"id": request_id,
-                       "error": {"kind": "bad_request",
-                                 "message": str(exc)}}),
-                timeout=self.config.write_timeout,
-            )
-            return False
-        if http is None:
-            return False
-        # Busy from head-read to reply-flushed, so drain() waits for the
-        # reply to every request the router already took.
-        self._conn_busy[writer] = True
-        try:
-            status, body, headers = await self._route(http, request_id)
-            keep = (
-                not self._draining
-                and http.headers.get("connection", "").lower() != "close"
-            )
-            await write_response(
-                writer, status, body,
-                content_type=headers.pop("Content-Type", "application/json"),
-                extra_headers=headers,
-                timeout=self.config.write_timeout, close=not keep,
-            )
-            return keep
-        finally:
-            self._conn_busy[writer] = False
-
-    async def _route(
-        self, http: HttpRequest, request_id: str
-    ) -> tuple[int, bytes, dict[str, str]]:
-        """Status, body and headers of the reply to one request."""
+    async def _route(self, http: HttpRequest, request_id: str) -> _Reply:
         if http.path in ("/solve", "/batch"):
             return await self._proxy(http, request_id)
+        if http.path not in ("/cluster", "/healthz", "/metrics"):
+            return _not_found(request_id, http.path)
+        if http.method != "GET":
+            return _method_not_allowed(request_id, "GET")
         if http.path == "/cluster":
-            return 200, _json({"id": request_id, **self.shard_map()}), {}
+            return _Reply(200, {"id": request_id, **self.shard_map()})
         if http.path == "/healthz":
             payload = await self._aggregate_health(request_id)
-            status = 503 if payload.get("dead_shards") else 200
-            return status, _json(payload), {}
-        if http.path == "/metrics":
-            body = (await self._federate_metrics()).encode("utf-8")
-            return 200, body, {
-                "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
-                "X-Request-Id": request_id,
-            }
-        return 404, _json({
-            "id": request_id,
-            "error": {"kind": "not_found",
-                      "message": f"no route for {http.path}"},
-        }), {}
+            return _Reply(503 if payload["dead_shards"] else 200, payload)
+        return _Reply(
+            200, (await self._federate_metrics()).encode("utf-8"),
+            {"Content-Type": MetricsRegistry.CONTENT_TYPE},
+        )
 
     def _routable(self, shard: int) -> bool:
         """A shard the router can usefully dial right now."""
@@ -734,9 +644,7 @@ class ClusterSupervisor:
             and shard in self._pools
         )
 
-    async def _proxy(
-        self, http: HttpRequest, request_id: str
-    ) -> tuple[int, bytes, dict[str, str]]:
+    async def _proxy(self, http: HttpRequest, request_id: str) -> _Reply:
         preference = self._shard_for_body(http.path, http.body)
         owner = preference[0]
         # The ring with down shards skipped: the owner's keyspace drains
@@ -751,19 +659,17 @@ class ClusterSupervisor:
                     ConfigurationError):
                 continue
         else:
-            return 503, _json({
-                "id": request_id,
-                "error": {
-                    "kind": "shard_unavailable",
-                    "message": (
-                        f"worker for shard {owner} is unavailable "
-                        "(crashed or respawning) and no live peer "
-                        "could take the key; retry"
-                    ),
-                    "shard": owner,
-                    "retry_after": self.cluster.health_interval * 2,
-                },
-            }), {"Retry-After": "1"}
+            return _error(
+                503, request_id, {"Retry-After": "1"},
+                kind="shard_unavailable",
+                message=(
+                    f"worker for shard {owner} is unavailable "
+                    "(crashed or respawning) and no live peer "
+                    "could take the key; retry"
+                ),
+                shard=owner,
+                retry_after=self.cluster.health_interval * 2,
+            )
         self.proxied[shard] = self.proxied.get(shard, 0) + 1
         passthrough = {
             "Content-Type": headers.get("content-type", "application/json")
@@ -779,7 +685,7 @@ class ClusterSupervisor:
         if shard != owner:
             self.failovers[owner] = self.failovers.get(owner, 0) + 1
             passthrough["X-Shard-Failover"] = str(owner)
-        return status, body, passthrough
+        return _Reply(status, body, passthrough)
 
     async def _roundtrip(
         self, shard: int, http: HttpRequest

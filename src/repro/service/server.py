@@ -1,4 +1,5 @@
-"""The asyncio solve-serving daemon.
+"""The asyncio solve-serving daemon and the HTTP front it shares with
+the fleet router.
 
 One event loop owns everything: connections are parsed by
 :mod:`repro.service.httpio`, admission-controlled by the
@@ -20,6 +21,12 @@ Endpoints
 * ``GET /metrics`` — Prometheus text format;
 * ``GET /healthz`` — liveness + engine/gate snapshots.
 
+The front (:class:`_HttpFront`) is how a request becomes a reply on
+the wire: the keep-alive exchange, its read and write bounds, the
+error envelope and the connection half of drain and stop.  The daemon
+and the fleet router (:mod:`repro.service.cluster`) both serve through
+it and differ only in their routes.
+
 Byte identity is enforced by tests: a result served over this wire
 compares equal to a direct :func:`repro.api.solve` on the same
 request, coalesced, batched or cached.
@@ -35,7 +42,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable, NamedTuple
 
 from .. import __version__
 from ..api import SolveRequest, SolveResult
@@ -108,44 +115,160 @@ class _EngineRunner:
         return work is not None and work <= SHORT_FLUSH_WORK
 
 
-class _Connections(dict):
-    """Open connections -> "serving a request now" (head read, reply
-    not yet flushed); idle keep-alive connections map to False.
+@dataclass
+class _Reply:
+    """What a route handler produced, ready for the wire."""
 
-    A daemon and a fleet router each keep one, so their drains wait on
-    in-flight replies the same way.
+    status: int
+    payload: dict | bytes
+    headers: dict[str, str] = field(default_factory=dict)
+
+
+def _error(
+    status: int,
+    request_id: str,
+    headers: dict[str, str] | None = None,
+    /,
+    **error: Any,
+) -> _Reply:
+    """The envelope of every daemon and router error:
+    ``{"id": ..., "error": {...}}``, the error's fields in the order
+    given (``kind`` and ``message`` first, save the engine's failure
+    record, which leads with its request)."""
+    return _Reply(
+        status, {"id": request_id, "error": error},
+        {} if headers is None else headers,
+    )
+
+
+def _not_found(request_id: str, path: str) -> _Reply:
+    return _error(404, request_id, kind="not_found",
+                  message=f"no route for {path}")
+
+
+def _method_not_allowed(request_id: str, allowed: str) -> _Reply:
+    return _error(405, request_id, {"Allow": allowed},
+                  kind="method_not_allowed", message=f"use {allowed}")
+
+
+class _HttpFront:
+    """How a request becomes a reply on the wire, for a daemon and a
+    fleet router alike.
+
+    A front owns the listener, the HTTP/1.1 keep-alive exchange with
+    its read and write bounds, the envelope of a bad or stalled read
+    and of an unhandled error, and the connection half of drain and
+    stop.  A subclass supplies :meth:`_route` and its own ``start``,
+    ``drain`` and ``stop`` around these halves.
     """
 
-    @property
-    def busy(self) -> int:
-        return sum(1 for busy in self.values() if busy)
+    def __init__(self, config: ServiceConfig) -> None:
+        self.config = config
+        self._server: asyncio.base_events.Server | None = None
+        self._draining = False
+        #: Open connections -> "serving a request now" (head read, reply
+        #: not yet flushed); idle keep-alive connections map to False.
+        self._conn_busy: dict[asyncio.StreamWriter, bool] = {}
+        self._shard_header = (
+            None if config.shard_index is None else str(config.shard_index)
+        )
 
-    def close_idle(self) -> None:
-        """Cut loose keep-alive connections with no request in flight.
+    async def _route(self, http: HttpRequest, request_id: str) -> _Reply:
+        raise NotImplementedError
 
-        A drain must not wait on a peer that is merely holding a
-        persistent connection open; a busy connection finishes its
-        reply first (its serving loop then closes it, seeing the
-        drain).
+    def _observe(self, endpoint: str, status: int, elapsed: float) -> None:
+        """Count one answered exchange (a front without metrics skips)."""
+
+    def _count_slow_client(self, direction: str) -> None:
+        """Count a connection cut for a stalled read or write."""
+
+    def _work_pending(self) -> bool:
+        """Whether work a drain waits for is still running beyond the
+        connections' own replies."""
+        return False
+
+    # -- lifecycle halves ------------------------------------------------
+
+    async def _listen(self) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.config.host, self.config.port
+        )
+
+    def _stop_accepting(self) -> None:
+        """Drain, first half: accept no more connections."""
+        self._draining = True
+        if self._server is not None:
+            self._server.close()
+            self._server = None
+
+    async def _settle(self, deadline: float) -> bool:
+        """Drain, second half: wait, until ``deadline``
+        (``time.monotonic()``), for every reply in flight and for
+        :meth:`_work_pending`.  True when nothing was left.
+
+        A drain must not wait on a peer that merely holds a keep-alive
+        connection open, so idle connections are closed as they appear;
+        a busy one finishes its reply first (its serving loop then
+        closes it, seeing the drain).
         """
-        for writer, busy in list(self.items()):
-            if not busy:
-                writer.close()
+        while True:
+            pending = self._work_pending()
+            for writer, busy in list(self._conn_busy.items()):
+                if not busy:
+                    writer.close()
+            if not pending and not any(self._conn_busy.values()):
+                return True
+            if time.monotonic() >= deadline:
+                return False
+            await asyncio.sleep(0.005)
 
-    async def serve(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        serve_one: Callable[..., Any],
-        read_timeout: float | None,
+    async def _close_front(self) -> None:
+        """Stop's connection half: close the listener and every
+        connection, then give the serving loops a beat to observe the
+        EOF and unwind, so the event loop does not die with pending
+        handlers."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        for writer in list(self._conn_busy):
+            writer.close()
+        for _ in range(10):
+            if not self._conn_busy:
+                break
+            await asyncio.sleep(0.01)
+
+    async def serve_forever(self) -> None:
+        if self._server is None:
+            await self.start()
+        await self._server.serve_forever()
+
+    @property
+    def host(self) -> str:
+        return self.config.host
+
+    @property
+    def port(self) -> int:
+        """The bound port (resolves ``port=0`` to the real one)."""
+        if self._server is not None and self._server.sockets:
+            return self._server.sockets[0].getsockname()[1]
+        return self.config.port
+
+    # -- the exchange ----------------------------------------------------
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One TCP connection: ``serve_one(reader, writer, deadline)``
-        answers a request and returns True to keep the connection
-        (HTTP/1.1 keep-alive) for the next one."""
-        self[writer] = False
-        deadline = read_deadline(read_timeout)
+        """One TCP connection: serve requests until either side closes.
+
+        The connection persists across exchanges HTTP/1.1-style; a peer
+        sending ``Connection: close``, any framing error or a drain in
+        progress ends it after the current reply.
+        """
+        self._conn_busy[writer] = False
+        deadline = read_deadline(self.config.read_timeout)
         try:
-            while await serve_one(reader, writer, deadline):
+            while await self._serve_one(reader, writer, deadline):
                 pass
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
@@ -159,7 +282,109 @@ class _Connections(dict):
                 pass
             # Popped only now: ``stop`` waits for an empty map, and the
             # loop must not close under a handler still in wait_closed.
-            self.pop(writer, None)
+            self._conn_busy.pop(writer, None)
+
+    async def _serve_one(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        deadline: ReadDeadline | None,
+    ) -> bool:
+        """Read, route and answer one request; True to keep the
+        connection for another exchange."""
+        began = time.perf_counter()
+        endpoint = "unknown"
+        status = 500
+        keep = False
+        request_id = new_request_id()
+        try:
+            try:
+                http = await read_request(reader, deadline=deadline)
+            except HttpError as exc:
+                if exc.status == 408:
+                    # Slow loris: the peer held the connection without
+                    # delivering a request.  It never reached the gate,
+                    # so it holds no tokens; just cut it loose.
+                    self._count_slow_client("read")
+                reply = _error(
+                    exc.status, request_id,
+                    kind="slow_client" if exc.status == 408
+                    else "bad_request",
+                    message=str(exc),
+                )
+            else:
+                if http is None:  # clean disconnect between requests
+                    status = 0
+                    return False
+                # Busy from head-read to reply-flushed, so a drain cannot
+                # declare victory while a response is in flight.
+                self._conn_busy[writer] = True
+                endpoint = f"{http.method} {http.path}"
+                try:
+                    reply = await self._route(http, request_id)
+                except Exception:  # noqa: BLE001 - last-resort 500
+                    logger.exception("unhandled service error")
+                    reply = _error(500, request_id, kind="internal_error",
+                                   message="unhandled service error")
+                else:
+                    keep = (
+                        not self._draining
+                        and http.headers.get("connection", "").lower()
+                        != "close"
+                    )
+            status = reply.status
+            body = json.dumps(reply.payload).encode("utf-8") \
+                if isinstance(reply.payload, dict) \
+                else reply.payload
+            headers = reply.headers
+            content_type = headers.pop("Content-Type", "application/json")
+            headers.setdefault("X-Request-Id", request_id)
+            if self._shard_header is not None:
+                headers.setdefault("X-Shard", self._shard_header)
+            await write_response(
+                writer, status, body,
+                content_type=content_type, extra_headers=headers,
+                timeout=self.config.write_timeout, close=not keep,
+            )
+            return keep
+        except SlowClientError as exc:
+            # The peer stopped draining its reply; abort the transport
+            # so the connection cannot pin the front (gate tokens were
+            # released before the write).
+            self._count_slow_client("write")
+            logger.info(
+                "slow client aborted %s",
+                kv(request_id=request_id, endpoint=endpoint,
+                   detail=str(exc)),
+            )
+            status = 499
+            transport = writer.transport
+            if transport is not None:
+                transport.abort()
+            return False
+        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
+            # The peer vanished: work is done (and any gate tokens are
+            # already released); only the reply is lost.
+            if logger.isEnabledFor(logging.INFO):
+                logger.info(
+                    "client disconnected %s",
+                    kv(request_id=request_id, endpoint=endpoint,
+                       detail=type(exc).__name__),
+                )
+            status = 499
+            return False
+        finally:
+            if writer in self._conn_busy:
+                self._conn_busy[writer] = False
+            if status != 0:  # ignore empty keep-alive probes
+                elapsed = time.perf_counter() - began
+                self._observe(endpoint, status, elapsed)
+                if logger.isEnabledFor(logging.INFO):
+                    logger.info(
+                        "request handled %s",
+                        kv(request_id=request_id, endpoint=endpoint,
+                           status=status, elapsed=elapsed),
+                    )
 
 
 class _Instruments:
@@ -371,16 +596,24 @@ class _Instruments:
         return disk.breaker.state if disk is not None else "disabled"
 
 
-@dataclass
-class _Reply:
-    """What a route handler produced, ready for the wire."""
+class _Endpoint(NamedTuple):
+    """What ``/solve`` or ``/batch`` brings to the daemon's one
+    admission step (:meth:`SolveService._admit`)."""
 
-    status: int
-    payload: dict
-    headers: dict[str, str] = field(default_factory=dict)
+    #: The class the gate and the admission counters see.
+    admission_class: str
+    #: ``http -> (work, deadline budget, gate weight)``; raises
+    #: :class:`~repro.exceptions.CrossbarError` on a bad body.
+    decode: Callable[[HttpRequest], tuple[Any, float | None, int]]
+    #: ``(request_id, work) -> reply`` under the stale-cache stage.
+    stale: Callable[[str, Any], _Reply]
+    #: ``(work, deadline_at) -> outcome``, awaited under the lease.
+    execute: Callable[[Any, float | None], Awaitable[Any]]
+    #: ``(request_id, work, outcome, began, lease) -> reply``.
+    answer: Callable[..., _Reply]
 
 
-class SolveService:
+class SolveService(_HttpFront):
     """The daemon: routes requests through gate -> coalesce -> batch."""
 
     def __init__(
@@ -388,7 +621,7 @@ class SolveService:
         config: ServiceConfig | None = None,
         engine: BatchSolver | None = None,
     ) -> None:
-        self.config = config or ServiceConfig()
+        super().__init__(config or ServiceConfig())
         self.engine = engine if engine is not None else BatchSolver()
         self.gate = AdmissionGate(self.config.gate_capacity)
         self.flights = SingleFlight()
@@ -411,12 +644,17 @@ class SolveService:
             on_transition=self._on_brownout_transition,
         )
         self.instruments.bind_runtime(self.brownout, self.batcher)
-        self._server: asyncio.base_events.Server | None = None
         self._started_at = time.monotonic()
         self._ewma_hold = 0.0
-        self._draining = False
-        self._conn_busy = _Connections()
         self._brownout_task: asyncio.Task | None = None
+        self._endpoints = {
+            "/solve": _Endpoint("solve", self._decode_solve,
+                                self._serve_stale, self._execute,
+                                self._solve_reply),
+            "/batch": _Endpoint("batch", self._decode_batch,
+                                self._serve_stale_batch, self._execute_all,
+                                self._batch_reply),
+        }
         #: body bytes -> (decoded request, deadline budget).  Identical
         #: bytes decode identically, so hot traffic skips the JSON
         #: parse + request canonicalization on repeat sightings.
@@ -432,9 +670,10 @@ class SolveService:
         # Both memos hold at most _MEMO_CAP entries: a full memo is
         # cleared before its next insert, so a shifting working set
         # keeps getting memoized.
-        self._shard_header = (
-            None if self.config.shard_index is None
-            else str(self.config.shard_index)
+        #: The shard field a worker's 503 envelopes carry.
+        self._shard_field = (
+            {} if self.config.shard_index is None
+            else {"shard": self.config.shard_index}
         )
 
     # ------------------------------------------------------------------
@@ -442,9 +681,7 @@ class SolveService:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await self._listen()
         self._started_at = time.monotonic()
         if self.config.brownout.enabled:
             self._brownout_task = asyncio.get_running_loop().create_task(
@@ -468,33 +705,24 @@ class SolveService:
         closing the batcher fails the queued remnants with structured
         envelopes rather than leaking them).
         """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-        self.batcher.flush_pending()
-        self._conn_busy.close_idle()
+        self._stop_accepting()
         budget = self.config.drain_timeout if timeout is None else timeout
-        deadline = time.monotonic() + budget
-        while (
-            self.instruments._inflight_count > 0
-            or self._conn_busy.busy
-            or self.batcher.busy
-        ):
-            if time.monotonic() >= deadline:
-                logger.warning(
-                    "drain timed out %s",
-                    kv(inflight=self.instruments._inflight_count,
-                       connections=self._conn_busy.busy,
-                       batcher_busy=self.batcher.busy, budget=budget),
-                )
-                return False
-            self.batcher.flush_pending()
-            self._conn_busy.close_idle()
-            await asyncio.sleep(0.005)
-        self._conn_busy.close_idle()
+        if not await self._settle(time.monotonic() + budget):
+            logger.warning(
+                "drain timed out %s",
+                kv(inflight=self.instruments._inflight_count,
+                   connections=sum(self._conn_busy.values()),
+                   batcher_busy=self.batcher.busy, budget=budget),
+            )
+            return False
         logger.info("drain complete %s", kv(budget=budget))
         return True
+
+    def _work_pending(self) -> bool:
+        # A drain flushes the pending micro-batch now, not after its
+        # window, and waits for every admitted request.
+        self.batcher.flush_pending()
+        return self.instruments._inflight_count > 0 or self.batcher.busy
 
     async def stop(self) -> None:
         if self._brownout_task is not None:
@@ -504,18 +732,7 @@ class SolveService:
             except asyncio.CancelledError:
                 pass
             self._brownout_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for conn_writer in list(self._conn_busy):
-            conn_writer.close()
-        # Give keep-alive serving loops a beat to observe the EOF and
-        # unwind, so the event loop does not die with pending handlers.
-        for _ in range(10):
-            if not self._conn_busy:
-                break
-            await asyncio.sleep(0.01)
+        await self._close_front()
         await self.batcher.close()
         logger.info(
             "service stopped %s",
@@ -526,225 +743,46 @@ class SolveService:
             }),
         )
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        await self._server.serve_forever()
-
-    @property
-    def host(self) -> str:
-        return self.config.host
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the real one)."""
-        if self._server is not None and self._server.sockets:
-            return self._server.sockets[0].getsockname()[1]
-        return self.config.port
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One TCP connection: serve requests until either side closes.
-
-        The connection persists across exchanges HTTP/1.1-style; a peer
-        sending ``Connection: close``, any framing error or a drain in
-        progress ends it after the current reply.
-        """
-        await self._conn_busy.serve(
-            reader, writer, self._serve_one, self.config.read_timeout
+    def _observe(self, endpoint: str, status: int, elapsed: float) -> None:
+        self.instruments.requests_total.inc(
+            endpoint=endpoint, status=str(status)
         )
+        self.instruments.request_seconds.observe(elapsed, endpoint=endpoint)
 
-    async def _serve_one(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        deadline: ReadDeadline | None,
-    ) -> bool:
-        """Read, route and answer one request; True to keep the
-        connection for another exchange."""
-        began = time.perf_counter()
-        endpoint = "unknown"
-        status = 500
-        keep = False
-        request_id = new_request_id()
-        try:
-            try:
-                http = await read_request(reader, deadline=deadline)
-            except HttpError as exc:
-                status = exc.status
-                if exc.status == 408:
-                    # Slow loris: the peer held the connection without
-                    # delivering a request.  It never reached the gate,
-                    # so it holds no tokens; just cut it loose.
-                    self.instruments.slow_clients.inc(direction="read")
-                await self._write_error(
-                    writer, exc.status,
-                    "slow_client" if exc.status == 408 else "bad_request",
-                    str(exc), request_id,
-                )
-                return False
-            if http is None:  # clean disconnect between requests
-                status = 0
-                return False
-            # Busy from head-read to reply-flushed, so drain() cannot
-            # declare victory while a response is in flight.
-            self._conn_busy[writer] = True
-            endpoint = f"{http.method} {http.path}"
-            fleet = http.headers.get("x-fleet-pressure")
-            if fleet is not None:
-                # The cluster router reports how much load this worker
-                # absorbs for dead shards; feed it to the brownout
-                # ladder so a shrunken fleet sheds instead of timing
-                # out (see ServicePressureController.fleet_pressure).
-                try:
-                    self.brownout.fleet_pressure = min(
-                        1.0, max(0.0, float(fleet))
-                    )
-                except ValueError:
-                    pass
-            reply = await self._route(http, request_id)
-            status = reply.status
-            keep = (
-                not self._draining
-                and http.headers.get("connection", "").lower() != "close"
-            )
-            body = json.dumps(reply.payload).encode("utf-8") \
-                if isinstance(reply.payload, dict) \
-                else reply.payload
-            content_type = reply.headers.pop(
-                "Content-Type", "application/json"
-            )
-            reply.headers.setdefault("X-Request-Id", request_id)
-            if self._shard_header is not None:
-                reply.headers.setdefault("X-Shard", self._shard_header)
-            await write_response(
-                writer, status, body,
-                content_type=content_type, extra_headers=reply.headers,
-                timeout=self.config.write_timeout, close=not keep,
-            )
-            return keep
-        except SlowClientError as exc:
-            # The peer stopped draining its reply; abort the transport
-            # so the connection cannot pin the daemon (tokens were
-            # released before the write).
-            self.instruments.slow_clients.inc(direction="write")
-            logger.info(
-                "slow client aborted %s",
-                kv(request_id=request_id, endpoint=endpoint,
-                   detail=str(exc)),
-            )
-            status = 499
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-            return False
-        except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-            # The peer vanished: work is done (and any gate tokens are
-            # already released); only the reply is lost.
-            if logger.isEnabledFor(logging.INFO):
-                logger.info(
-                    "client disconnected %s",
-                    kv(request_id=request_id, endpoint=endpoint,
-                       detail=type(exc).__name__),
-                )
-            status = 499
-            return False
-        except Exception:  # noqa: BLE001 - last-resort 500
-            logger.exception("unhandled service error")
-            status = 500
-            try:
-                await self._write_error(
-                    writer, 500, "internal_error",
-                    "unhandled service error", request_id,
-                )
-            except OSError:
-                pass
-            return False
-        finally:
-            if writer in self._conn_busy:
-                self._conn_busy[writer] = False
-            if status != 0:  # ignore empty keep-alive probes
-                elapsed = time.perf_counter() - began
-                self.instruments.requests_total.inc(
-                    endpoint=endpoint, status=str(status)
-                )
-                self.instruments.request_seconds.observe(
-                    elapsed, endpoint=endpoint
-                )
-                if logger.isEnabledFor(logging.INFO):
-                    logger.info(
-                        "request handled %s",
-                        kv(request_id=request_id, endpoint=endpoint,
-                           status=status, elapsed=elapsed),
-                    )
-
-    async def _write_error(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        kind: str,
-        message: str,
-        request_id: str,
-        extra: dict | None = None,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        payload = {
-            "id": request_id,
-            "error": {"kind": kind, "message": message, **(extra or {})},
-        }
-        base_headers = {"X-Request-Id": request_id}
-        if self._shard_header is not None:
-            base_headers["X-Shard"] = self._shard_header
-        if headers:
-            base_headers.update(headers)
-        await write_response(
-            writer, status, json.dumps(payload).encode("utf-8"),
-            extra_headers=base_headers,
-            timeout=self.config.write_timeout,
-        )
+    def _count_slow_client(self, direction: str) -> None:
+        self.instruments.slow_clients.inc(direction=direction)
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
     async def _route(self, http: HttpRequest, request_id: str) -> _Reply:
-        if http.path == "/metrics":
-            if http.method != "GET":
-                return self._method_not_allowed(request_id, "GET")
-            return _Reply(
-                200, self.registry.render().encode("utf-8"),
-                {"Content-Type": MetricsRegistry.CONTENT_TYPE},
-            )
+        fleet = http.headers.get("x-fleet-pressure")
+        if fleet is not None:
+            # The cluster router reports how much load this worker
+            # absorbs for dead shards; feed it to the brownout ladder
+            # so a shrunken fleet sheds instead of timing out (see
+            # ServicePressureController.fleet_pressure).
+            try:
+                self.brownout.fleet_pressure = min(
+                    1.0, max(0.0, float(fleet))
+                )
+            except ValueError:
+                pass
+        endpoint = self._endpoints.get(http.path)
+        if endpoint is not None:
+            if http.method != "POST":
+                return _method_not_allowed(request_id, "POST")
+            return await self._admit(endpoint, http, request_id)
+        if http.path not in ("/metrics", "/healthz"):
+            return _not_found(request_id, http.path)
+        if http.method != "GET":
+            return _method_not_allowed(request_id, "GET")
         if http.path == "/healthz":
-            if http.method != "GET":
-                return self._method_not_allowed(request_id, "GET")
             return _Reply(200, self._health(request_id))
-        if http.path == "/solve":
-            if http.method != "POST":
-                return self._method_not_allowed(request_id, "POST")
-            return await self._handle_solve(http, request_id)
-        if http.path == "/batch":
-            if http.method != "POST":
-                return self._method_not_allowed(request_id, "POST")
-            return await self._handle_batch(http, request_id)
-        return _Reply(404, {
-            "id": request_id,
-            "error": {"kind": "not_found",
-                      "message": f"no route for {http.path}"},
-        })
-
-    def _method_not_allowed(self, request_id: str, allowed: str) -> _Reply:
         return _Reply(
-            405,
-            {"id": request_id,
-             "error": {"kind": "method_not_allowed",
-                       "message": f"use {allowed}"}},
-            {"Allow": allowed},
+            200, self.registry.render().encode("utf-8"),
+            {"Content-Type": MetricsRegistry.CONTENT_TYPE},
         )
 
     def _health(self, request_id: str) -> dict:
@@ -783,51 +821,46 @@ class SolveService:
         }
 
     # ------------------------------------------------------------------
-    # Solve endpoints
+    # Admission: the one step /solve and /batch share
     # ------------------------------------------------------------------
 
-    def _parse_body(self, http: HttpRequest) -> Any:
-        try:
-            return json.loads(http.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"request body is not JSON: {exc}") \
-                from exc
-
-    async def _handle_solve(
-        self, http: HttpRequest, request_id: str
+    async def _admit(
+        self, endpoint: _Endpoint, http: HttpRequest, request_id: str
     ) -> _Reply:
-        memo = self._parse_memo.get(http.body)
-        if memo is not None:
-            request, budget = memo
-        else:
-            try:
-                payload = self._parse_body(http)
-                request = decode_request(payload)
-                budget = decode_deadline_ms(payload)
-            except CrossbarError as exc:
-                return self._bad_request(request_id, str(exc))
-            if len(self._parse_memo) >= _MEMO_CAP:
-                self._parse_memo.clear()
-            self._parse_memo[http.body] = (request, budget)
+        """Decode a ``/solve`` or ``/batch``, admit it and answer it.
+
+        Draining or shedding clears the request before the gate, and
+        the stale-cache stage answers from the cache alone.  Otherwise
+        the request's weight is offered to the gate: a full gate clears
+        it at once (blocked calls cleared, no queue), an admitted one
+        runs under its lease, held at least ``min_hold``, and releases
+        it however the run ends.
+        """
+        try:
+            work, budget, weight = endpoint.decode(http)
+        except CrossbarError as exc:
+            return _error(400, request_id, kind="bad_request",
+                          message=str(exc))
         if self._draining:
             return self._shutting_down(request_id)
+        admission_class = endpoint.admission_class
         if self.brownout.shedding:
-            return self._shed(request_id, "solve")
+            return self._shed(request_id, admission_class)
         if self.brownout.stale_only:
-            return self._serve_stale(request_id, request)
+            return endpoint.stale(request_id, work)
         deadline_at = (
             time.monotonic() + budget if budget is not None else None
         )
-        lease = self.gate.try_acquire("solve", self.config.point_weight)
-        self._count_admission("solve", lease is not None)
+        lease = self.gate.try_acquire(admission_class, weight)
+        label = {"class": admission_class}
+        self.instruments.admission_offered.inc(**label)
         if lease is None:
-            return self._rejected(request_id, "solve")
+            self.instruments.admission_rejected.inc(**label)
+            return self._rejected(request_id, admission_class)
         began = time.perf_counter()
         self.instruments._inflight_count += 1
         try:
-            result, coalesced = await self._execute(
-                request, deadline_at=deadline_at
-            )
+            outcome = await endpoint.execute(work, deadline_at)
             if self.config.min_hold > 0.0:
                 await asyncio.sleep(self.config.min_hold)
         except BatcherClosedError:
@@ -840,14 +873,49 @@ class SolveService:
             self.instruments._inflight_count -= 1
             self.gate.release(lease)
             self._note_hold(time.perf_counter() - began)
+        return endpoint.answer(request_id, work, outcome, began, lease)
+
+    def _parse_body(self, http: HttpRequest) -> Any:
+        try:
+            return json.loads(http.body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(f"request body is not JSON: {exc}") \
+                from exc
+
+    def _decode_solve(
+        self, http: HttpRequest
+    ) -> tuple[SolveRequest, float | None, int]:
+        memo = self._parse_memo.get(http.body)
+        if memo is None:
+            payload = self._parse_body(http)
+            memo = decode_request(payload), decode_deadline_ms(payload)
+            if len(self._parse_memo) >= _MEMO_CAP:
+                self._parse_memo.clear()
+            self._parse_memo[http.body] = memo
+        request, budget = memo
+        return request, budget, self.config.point_weight
+
+    def _decode_batch(
+        self, http: HttpRequest
+    ) -> tuple[list[SolveRequest], float | None, int]:
+        payload = self._parse_body(http)
+        requests = decode_request_list(payload)
+        weight = self.config.batch_member_weight * len(requests)
+        return requests, decode_deadline_ms(payload), weight
+
+    def _solve_reply(
+        self,
+        request_id: str,
+        request: SolveRequest,
+        outcome: tuple[Any, bool],
+        began: float,
+        lease: Any,
+    ) -> _Reply:
+        result, coalesced = outcome
         if getattr(result, "failed", False):
             self.instruments.solve_failures.inc()
-            return _Reply(500, {
-                "id": request_id,
-                "error": encode_failed(result) | {
-                    "message": result.error_message,
-                },
-            })
+            return _error(500, request_id, **encode_failed(result),
+                          message=result.error_message)
         elapsed_ms = (time.perf_counter() - began) * 1e3
         # Hot path: splice the memoized result fragment into the
         # envelope instead of re-encoding the result dict per request
@@ -871,47 +939,15 @@ class SolveService:
             + fragment + tail.encode("utf-8")
         ))
 
-    async def _handle_batch(
-        self, http: HttpRequest, request_id: str
+    def _batch_reply(
+        self,
+        request_id: str,
+        requests: list[SolveRequest],
+        outcome: tuple[list[Any], int],
+        began: float,
+        lease: Any,
     ) -> _Reply:
-        try:
-            payload = self._parse_body(http)
-            requests = decode_request_list(payload)
-            budget = decode_deadline_ms(payload)
-        except CrossbarError as exc:
-            return self._bad_request(request_id, str(exc))
-        if self._draining:
-            return self._shutting_down(request_id)
-        if self.brownout.shedding:
-            return self._shed(request_id, "batch")
-        if self.brownout.stale_only:
-            return self._serve_stale_batch(request_id, requests)
-        deadline_at = (
-            time.monotonic() + budget if budget is not None else None
-        )
-        weight = self.config.batch_member_weight * len(requests)
-        lease = self.gate.try_acquire("batch", weight)
-        self._count_admission("batch", lease is not None)
-        if lease is None:
-            return self._rejected(request_id, "batch")
-        began = time.perf_counter()
-        self.instruments._inflight_count += 1
-        try:
-            results, coalesced = await self._execute_all(
-                requests, deadline_at
-            )
-            if self.config.min_hold > 0.0:
-                await asyncio.sleep(self.config.min_hold)
-        except BatcherClosedError:
-            return self._shutting_down(request_id)
-        except RequestExpiredError:
-            return self._deadline_exceeded(request_id, budget, "batch")
-        except asyncio.TimeoutError:
-            return self._deadline_exceeded(request_id, budget, "wait")
-        finally:
-            self.instruments._inflight_count -= 1
-            self.gate.release(lease)
-            self._note_hold(time.perf_counter() - began)
+        results, coalesced = outcome
         failures = sum(1 for r in results if getattr(r, "failed", False))
         if failures:
             self.instruments.solve_failures.inc(failures)
@@ -922,12 +958,6 @@ class SolveService:
             "elapsed_ms": (time.perf_counter() - began) * 1e3,
         }
         return _Reply(200, encode_batch(request_id, results, tail))
-
-    def _bad_request(self, request_id: str, message: str) -> _Reply:
-        return _Reply(400, {
-            "id": request_id,
-            "error": {"kind": "bad_request", "message": message},
-        })
 
     # ------------------------------------------------------------------
     # Brownout and deadline envelopes
@@ -946,21 +976,18 @@ class SolveService:
             **{"class": admission_class}
         )
         retry_after = self._retry_after()
-        error = {
-            "kind": "brownout_rejected",
-            "message": (
+        return _error(
+            503, request_id,
+            {"Retry-After": str(max(1, math.ceil(retry_after)))},
+            kind="brownout_rejected",
+            message=(
                 "service is shedding load (brownout stage "
                 f"{self.brownout.stage_name}); retry after the hint"
             ),
-            "brownout_stage": self.brownout.stage_name,
-            "retry_after": retry_after,
-        }
-        if self.config.shard_index is not None:
-            error["shard"] = self.config.shard_index
-        return _Reply(503, {
-            "id": request_id,
-            "error": error,
-        }, {"Retry-After": str(max(1, math.ceil(retry_after)))})
+            brownout_stage=self.brownout.stage_name,
+            retry_after=retry_after,
+            **self._shard_field,
+        )
 
     def _serve_stale(self, request_id: str, request: SolveRequest) -> _Reply:
         """Stage 2: a cache hit (stamped degraded) or a fast 503."""
@@ -1012,20 +1039,16 @@ class SolveService:
     ) -> _Reply:
         """Structured 504: the client's budget ran out, work was shed."""
         self.instruments.deadline_exceeded.inc(phase=phase)
-        return _Reply(504, {
-            "id": request_id,
-            "error": {
-                "kind": "deadline_exceeded",
-                "message": (
-                    "the request's deadline_ms budget expired in the "
-                    f"{phase} phase"
-                ),
-                "deadline_ms": (
-                    budget * 1e3 if budget is not None else None
-                ),
-                "phase": phase,
-            },
-        })
+        return _error(
+            504, request_id,
+            kind="deadline_exceeded",
+            message=(
+                "the request's deadline_ms budget expired in the "
+                f"{phase} phase"
+            ),
+            deadline_ms=budget * 1e3 if budget is not None else None,
+            phase=phase,
+        )
 
     def _on_brownout_transition(
         self, old: int, new: int, score: float
@@ -1035,20 +1058,9 @@ class SolveService:
         )
 
     def _shutting_down(self, request_id: str) -> _Reply:
-        return _Reply(503, {
-            "id": request_id,
-            "error": {"kind": "shutting_down",
-                      "message": "service is shutting down"},
-        }, {"Retry-After": "1"})
-
-    def _count_admission(self, admission_class: str, admitted: bool) -> None:
-        self.instruments.admission_offered.inc(
-            **{"class": admission_class}
-        )
-        if not admitted:
-            self.instruments.admission_rejected.inc(
-                **{"class": admission_class}
-            )
+        return _error(503, request_id, {"Retry-After": "1"},
+                      kind="shutting_down",
+                      message="service is shutting down")
 
     def _rejected(self, request_id: str, admission_class: str) -> _Reply:
         """Blocked-calls-cleared: structured 503, no queueing."""
@@ -1061,26 +1073,23 @@ class SolveService:
                    in_use=gate.in_use, capacity=gate.capacity,
                    retry_after=retry_after),
             )
-        error = {
-            "kind": "admission_rejected",
-            "message": (
+        return _error(
+            503, request_id,
+            {"Retry-After": str(max(1, math.ceil(retry_after)))},
+            kind="admission_rejected",
+            message=(
                 "admission gate is full; the request was cleared "
                 "(not queued) -- retry after the hint"
             ),
-            "admission_class": admission_class,
-            "retry_after": retry_after,
-            "gate_capacity": gate.capacity,
-            "gate_in_use": gate.in_use,
-            "offered": gate.offered,
-            "rejected": gate.rejected,
-            "blocking_ratio": gate.blocking_ratio,
-        }
-        if self.config.shard_index is not None:
-            error["shard"] = self.config.shard_index
-        return _Reply(503, {
-            "id": request_id,
-            "error": error,
-        }, {"Retry-After": str(max(1, math.ceil(retry_after)))})
+            admission_class=admission_class,
+            retry_after=retry_after,
+            gate_capacity=gate.capacity,
+            gate_in_use=gate.in_use,
+            offered=gate.offered,
+            rejected=gate.rejected,
+            blocking_ratio=gate.blocking_ratio,
+            **self._shard_field,
+        )
 
     def _note_hold(self, elapsed: float) -> None:
         self._ewma_hold = (
@@ -1248,9 +1257,9 @@ def _retrieve_exception(flight: asyncio.Future) -> None:
 # Hosting: one lifecycle for a daemon and a fleet
 # ----------------------------------------------------------------------
 #
-# A hosted object has ``start``/``drain``/``stop``/``serve_forever``
-# coroutines plus ``host``, ``port`` and ``config``: a SolveService, or
-# a fleet's ClusterSupervisor (repro.service.cluster).
+# A hosted object is an _HttpFront with ``start``/``drain``/``stop``
+# coroutines: a SolveService, or a fleet's ClusterSupervisor
+# (repro.service.cluster).
 
 
 async def _serve_async(

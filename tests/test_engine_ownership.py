@@ -73,6 +73,30 @@ def test_in_process_solves_leave_a_daemons_metrics_alone():
         assert scrape() == before
 
 
+@pytest.mark.service
+def test_a_daemon_counts_each_engine_lookup_once():
+    """The fast path's memory probe counts only its hits; a miss is
+    counted once, by the engine batch that serves it."""
+    with start_in_thread() as handle:
+        client = ServiceClient(*handle.address)
+
+        def scrape() -> tuple[float, float]:
+            return tuple(
+                client.metric_value("repro_engine_stat", stat=stat)
+                for stat in ("lookups", "hit_rate")
+            )
+
+        client.solve(mix_request(5))
+        cold = scrape()
+        client.solve(mix_request(5))
+        hot = scrape()
+        client.solve_many([mix_request(n, rate=0.0219) for n in (3, 4, 6)])
+        batch = scrape()
+    assert cold == (1.0, 0.0)
+    assert hot == (2.0, 0.5)
+    assert batch == (5.0, 0.2)
+
+
 def test_cli_batch_leaves_the_default_engine_alone(capsys):
     engine = get_default_engine()
     before = engine.stats.snapshot()

@@ -17,7 +17,9 @@ Four fleet-level contracts from the PR-7 tentpole:
 
 from __future__ import annotations
 
+import gc
 import json
+import logging
 import os
 import signal
 import socket
@@ -83,6 +85,29 @@ def wire_solve(
         )
     finally:
         connection.close()
+
+
+def read_raw_reply(sock: socket.socket) -> tuple[bytes, dict[str, str], bytes]:
+    """One HTTP reply off a raw socket: (status line, headers, body)."""
+    raw = b""
+    while b"\r\n\r\n" not in raw:
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", "0"))
+    while len(body) < length:
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        body += chunk
+    return status_line.encode("latin-1"), headers, body
 
 
 @pytest.fixture(scope="module")
@@ -290,22 +315,74 @@ def test_router_cuts_off_a_slow_loris_within_the_read_bound():
             with socket.create_connection(handle.address, timeout=5.0) \
                     as sock:
                 sock.sendall(partial)
-                raw = b""
-                while b"\r\n\r\n" not in raw:
-                    chunk = sock.recv(4096)
-                    if not chunk:
-                        break
-                    raw += chunk
+                status, headers, body = read_raw_reply(sock)
             elapsed = time.monotonic() - began
-            assert b" 408 " in raw.split(b"\r\n", 1)[0], (what, raw)
+            assert b" 408 " in status, (what, status)
             # The router answered (a worker's reply carries X-Shard).
-            assert b"X-Shard" not in raw
+            assert "x-shard" not in headers
             assert 0.15 <= elapsed < 3.0, (what, elapsed)
+            envelope = json.loads(body)
+            assert envelope["error"]["kind"] == "slow_client", envelope
+            assert headers["x-request-id"] == envelope["id"]
         status, _, envelope = wire_solve(*handle.address, REQUESTS[0])
         assert status == 200
         assert solution_bytes(envelope["result"]) == solution_bytes(
             encode_result(solve(REQUESTS[0]))
         )
+
+
+def test_router_get_routes_refuse_other_methods(cluster):
+    """The router's own routes answer a wrong method as a daemon does:
+    405 with ``Allow: GET``."""
+    handle, _ = cluster
+    for path in ("/healthz", "/metrics", "/cluster"):
+        connection = HTTPConnection(*handle.address, timeout=30.0)
+        try:
+            connection.request("POST", path, body=b"{}")
+            response = connection.getresponse()
+            envelope = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 405, path
+        assert response.getheader("Allow") == "GET"
+        assert envelope["error"]["kind"] == "method_not_allowed"
+        assert response.getheader("X-Request-Id") == envelope["id"]
+
+
+def test_router_stop_leaves_no_connection_handler_pending(caplog):
+    """``stop`` waits until every router connection handler has
+    unwound: keep-alive sockets left open across it must not leave the
+    loop to close under a suspended handler, which asyncio reports as
+    "Task was destroyed but it is pending!"."""
+    config = ServiceConfig(port=0, cluster=ClusterConfig(workers=1))
+    body = json.dumps({"request": REQUESTS[0].to_dict()}).encode()
+    exchange = (
+        b"POST /solve HTTP/1.1\r\nContent-Type: application/json\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body)
+    ) + body
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        for _ in range(10):
+            sockets = []
+            try:
+                with start_cluster_in_thread(config) as handle:
+                    for _ in range(3):
+                        sock = socket.create_connection(
+                            handle.address, timeout=30.0
+                        )
+                        sockets.append(sock)
+                        sock.sendall(exchange)
+                        status, _, _ = read_raw_reply(sock)
+                        assert b" 200 " in status
+                gc.collect()
+            finally:
+                for sock in sockets:
+                    sock.close()
+    pending = [
+        r for r in caplog.records
+        if r.name == "asyncio" and "destroyed but it is pending" in
+        r.getMessage()
+    ]
+    assert pending == []
 
 
 def test_full_route_memo_is_refilled_not_frozen(monkeypatch):
